@@ -16,20 +16,14 @@ import argparse
 import random
 import sys
 
-from sosdw.closed_form import partition_permutation_sum
-from sosdw.contour import partition_residue
-from sosdw.face_model import enumerate_partition, face_cap
+from sosdw.cli import DEFAULT_TOLERANCES, pairwise_deviations
+from sosdw.core import ROUTE_TABLE
 from sosdw.sampling import draw_model
-from sosdw.yb_algebra import partition_algebraic, reconcile_offset_convention
+from sosdw.yb_algebra import reconcile_offset_convention
 
-ROUTE_FNS = {
-    "face": enumerate_partition,
-    "algebra": partition_algebraic,
-    "permutation": partition_permutation_sum,
-    "residue": partition_residue,
-}
-
-ROUTE_CAPS = {"face": None, "algebra": 10, "permutation": 8, "residue": 8}
+# The routes that are exact up to rounding; quadrature stops at its own
+# convergence threshold, so it is left out of the comparison.
+EXACT_ROUTES = tuple(r for r in ROUTE_TABLE if r != "quadrature")
 
 
 def main(argv=None) -> int:
@@ -44,11 +38,10 @@ def main(argv=None) -> int:
     print(f"reconciliation ratio (algebra/face): {rec.ratio:.17g}  "
           f"spread {rec.ratio_spread:.3g}")
 
+    tol = DEFAULT_TOLERANCES["route_agreement"]
     overall = 0.0
     for L in range(args.lmin, args.lmax + 1):
-        caps = dict(ROUTE_CAPS)
-        caps["face"] = face_cap()
-        routes = [r for r, cap in caps.items() if L <= cap]
+        routes = [r for r in EXACT_ROUTES if L <= ROUTE_TABLE[r].cap()]
         if len(routes) < 2:
             print(f"L={L}: fewer than two routes available, skipping")
             continue
@@ -56,23 +49,19 @@ def main(argv=None) -> int:
         worst = 0.0
         for _ in range(args.draws):
             params, lams = draw_model(rng, L, routes=tuple(routes))
-            values = {r: ROUTE_FNS[r](params, lams) for r in routes}
+            values = {r: ROUTE_TABLE[r].evaluate(params, lams, None)[0]
+                      for r in routes}
             if "algebra" in values:
                 values["algebra"] /= rec.ratio
-            names = list(values)
-            for a in range(len(names)):
-                for b in range(a + 1, len(names)):
-                    za, zb = values[names[a]], values[names[b]]
-                    scale = max(abs(za), abs(zb))
-                    if scale > 0:
-                        worst = max(worst, abs(za - zb) / scale)
+            for dev in pairwise_deviations(values, tol):
+                worst = max(worst, dev["relative"])
         print(f"L={L}: routes {','.join(routes)}  draws {args.draws}  "
               f"worst relative deviation {worst:.3g}")
         overall = max(overall, worst)
 
-    ok = overall < 1e-9
+    ok = overall < tol
     print(f"overall worst deviation {overall:.3g} -> "
-          f"{'PASS' if ok else 'FAIL'} (tolerance 1e-09)")
+          f"{'PASS' if ok else 'FAIL'} (tolerance {tol:.3g})")
     return 0 if ok else 1
 
 

@@ -9,23 +9,21 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
+import random
 import sys
 import time
 from dataclasses import dataclass
 
-from .closed_form import partition_permutation_sum
-from .contour import ContourSpec, partition_quadrature_info
+from .contour import ContourSpec
 from .core import (
     ModelParams,
     NumericalError,
+    ROUTE_TABLE,
     ROUTES,
     ValidationError,
 )
-from .face_model import count_configurations, enumerate_partition
 from .sampling import draw_model
 from .verify import SUITE_NAMES, run_suite
-from .yb_algebra import partition_algebraic
 
 DEFAULT_TOLERANCES = {"route_agreement": 1e-9}
 
@@ -147,47 +145,13 @@ def _g17(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _route_value(route: str, cfg: JobConfig):
-    """Evaluate one route; returns (value, workload size)."""
-    params, lams = cfg.params, cfg.lambdas
-    if route == "face":
-        return enumerate_partition(params, lams), count_configurations(
-            params.L)
-    if route == "algebra":
-        return partition_algebraic(params, lams), 1 << params.L
-    if route == "permutation":
-        return partition_permutation_sum(params, lams), math.factorial(
-            params.L)
-    if route == "residue":
-        from .contour import partition_residue
-        return partition_residue(params, lams), math.factorial(params.L)
-    if route == "quadrature":
-        value, nodes = partition_quadrature_info(params, lams, cfg.contour)
-        return value, nodes
-    raise ValueError(f"unknown route {route!r}")
-
-
-def compute_report(cfg: JobConfig, with_timings: bool = True) -> dict:
-    """Run every requested route and assemble the comparison report."""
-    routes = {}
-    for route in cfg.routes:
-        t0 = time.perf_counter()
-        value, _ = _route_value(route, cfg)
-        wall_ms = (time.perf_counter() - t0) * 1e3
-        entry = {"value": {"re": value.real, "im": value.imag}}
-        if with_timings:
-            entry["wall_ms"] = wall_ms
-        routes[route] = entry
-
-    tol = cfg.tolerances["route_agreement"]
+def pairwise_deviations(values: dict, tol: float) -> list:
+    """Relative deviation of every pair of route values, in route order."""
+    names = list(values)
     deviations = []
-    names = list(cfg.routes)
     for a in range(len(names)):
         for b in range(a + 1, len(names)):
-            za = complex(routes[names[a]]["value"]["re"],
-                         routes[names[a]]["value"]["im"])
-            zb = complex(routes[names[b]]["value"]["re"],
-                         routes[names[b]]["value"]["im"])
+            za, zb = values[names[a]], values[names[b]]
             scale = max(abs(za), abs(zb))
             rel = abs(za - zb) / scale if scale > 0 else 0.0
             deviations.append({
@@ -195,21 +159,33 @@ def compute_report(cfg: JobConfig, with_timings: bool = True) -> dict:
                 "relative": rel,
                 "within_tolerance": rel < tol,
             })
+    return deviations
+
+
+def compute_report(cfg: JobConfig, with_timings: bool = True) -> dict:
+    """Run every requested route and assemble the comparison report."""
+    values, routes = {}, {}
+    for route in cfg.routes:
+        t0 = time.perf_counter()
+        value, _ = ROUTE_TABLE[route].evaluate(cfg.params, cfg.lambdas,
+                                               cfg.contour)
+        wall_ms = (time.perf_counter() - t0) * 1e3
+        entry = {"value": {"re": value.real, "im": value.imag}}
+        if with_timings:
+            entry["wall_ms"] = wall_ms
+        values[route] = value
+        routes[route] = entry
 
     ratio = None
-    if "face" in routes and "algebra" in routes:
-        zf = complex(routes["face"]["value"]["re"],
-                     routes["face"]["value"]["im"])
-        za = complex(routes["algebra"]["value"]["re"],
-                     routes["algebra"]["value"]["im"])
-        if abs(zf) > 0:
-            r = za / zf
-            ratio = {"re": r.real, "im": r.imag}
+    if "face" in values and "algebra" in values and abs(values["face"]) > 0:
+        r = values["algebra"] / values["face"]
+        ratio = {"re": r.real, "im": r.imag}
 
     return {
         "L": cfg.params.L,
         "routes": routes,
-        "deviations": deviations,
+        "deviations": pairwise_deviations(
+            values, cfg.tolerances["route_agreement"]),
         "reconciliation_ratio": ratio,
         "tolerances": cfg.tolerances,
     }
@@ -264,10 +240,6 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-_BENCH_CAPS = {"face": None, "algebra": 10, "permutation": 8, "residue": 8,
-               "quadrature": 3}
-
-
 def cmd_bench(args) -> int:
     routes = [r.strip() for r in args.routes.split(",") if r.strip()]
     if not routes or any(r not in ROUTES for r in routes):
@@ -277,27 +249,17 @@ def cmd_bench(args) -> int:
     if args.lmin < 1 or args.lmax < args.lmin:
         raise ConfigError("need 1 <= lmin <= lmax")
 
-    from .face_model import face_cap
-    import random as _random
-
     rows = ["route,L,nodes_or_terms,wall_ms,value_re,value_im"]
     for route in routes:
-        cap = _BENCH_CAPS[route]
-        if cap is None:
-            cap = face_cap()
-        for L in range(args.lmin, args.lmax + 1):
-            if L > cap:
-                continue
-            rng = _random.Random(1000 + L)
+        spec = ROUTE_TABLE[route]
+        for L in range(args.lmin, min(args.lmax, spec.cap()) + 1):
+            rng = random.Random(1000 + L)
             params, lams = draw_model(rng, L, routes=("face", "permutation"))
-            cfg = JobConfig(params=params, lambdas=lams, routes=(route,),
-                            seed=0, tolerances=dict(DEFAULT_TOLERANCES),
-                            contour=None)
             t0 = time.perf_counter()
-            value, workload = _route_value(route, cfg)
+            value, detail = spec.evaluate(params, lams, None)
             wall_ms = (time.perf_counter() - t0) * 1e3
             rows.append(
-                f"{route},{L},{workload},{wall_ms:.3f},"
+                f"{route},{L},{spec.workload(L, detail)},{wall_ms:.3f},"
                 f"{_g17(value.real)},{_g17(value.imag)}"
             )
     text = "\n".join(rows)

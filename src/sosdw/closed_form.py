@@ -18,7 +18,7 @@ import itertools
 from .core import (
     EPS_SEP,
     EPS_SING,
-    L_MAX_PERMUTATION,
+    ROUTE_TABLE,
     BadLength,
     CoincidentInhomogeneity,
     CoincidentSpectral,
@@ -26,7 +26,7 @@ from .core import (
     ModelParams,
     NumericalError,
     SingularTheta,
-    TooLarge,
+    check_size,
     pairwise_sum,
     s,
     validate,
@@ -160,10 +160,7 @@ def partition_permutation_sum(params: ModelParams, lambdas) -> complex:
     and the pair ratio over ordered positions.
     """
     L = params.L
-    if L > L_MAX_PERMUTATION:
-        raise TooLarge(
-            f"permutation sum capped at L = {L_MAX_PERMUTATION} (requested {L})"
-        )
+    check_size(params, "permutation")
     sv = validate(params, lambdas, "permutation")
     lams = sv.lambdas
     g = params.gamma
@@ -274,16 +271,6 @@ def functional_equation_residual(params: ModelParams, lambdas,
     return abs(pairwise_sum(terms)) / scale
 
 
-def _route_evaluator(params: ModelParams, route: str):
-    if route == "face":
-        from .face_model import enumerate_partition
-        return lambda lams: enumerate_partition(params, lams)
-    if route == "permutation":
-        return lambda lams: partition_permutation_sum(params, lams)
-    raise ValueError(f"special-zero route must be face or permutation, "
-                     f"got {route!r}")
-
-
 def special_zero_residual(params: ModelParams, lambdas,
                           route: str = "permutation") -> float:
     """|Z| at the pinned pair, relative to |Z| at nearby generic points.
@@ -305,7 +292,10 @@ def special_zero_residual(params: ModelParams, lambdas,
         raise BadLength(
             "slots 1 and 2 must carry the pinned values mu_1 and mu_1-gamma"
         )
-    ev = _route_evaluator(params, route)
+    evaluate = ROUTE_TABLE[route].evaluate
+
+    def ev(lams):
+        return evaluate(params, lams, None)[0]
 
     def pinned(offset):
         probe = [mu1 + offset, mu1 - g + offset] + lam[2:]
@@ -524,8 +514,9 @@ def mu_symmetry_residual(params: ModelParams, lambdas, i: int, j: int,
     mu2[i], mu2[j] = mu2[j], mu2[i]
     params2 = ModelParams(gamma=params.gamma, theta=params.theta,
                           mu=tuple(mu2), L=L)
-    base = _route_evaluator(params, route)(tuple(lambdas))
+    evaluate = ROUTE_TABLE[route].evaluate
+    base = evaluate(params, tuple(lambdas), None)[0]
     if base == 0:
         raise NumericalError("column-swap probe hit a zero of the function")
-    other = _route_evaluator(params2, route)(tuple(lambdas))
+    other = evaluate(params2, tuple(lambdas), None)[0]
     return abs(other - base) / abs(base)

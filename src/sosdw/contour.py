@@ -16,13 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    L_MAX_PERMUTATION,
-    L_MAX_QUADRATURE,
     BadLength,
     ModelParams,
     NoConvergence,
-    TooLarge,
     ValidationError,
+    check_size,
     pairwise_sum,
     s,
     validate,
@@ -150,10 +148,7 @@ def partition_residue(params: ModelParams, lambdas) -> complex:
     injective assignments.
     """
     L = params.L
-    if L > L_MAX_PERMUTATION:
-        raise TooLarge(
-            f"residue sum capped at L = {L_MAX_PERMUTATION} (requested {L})"
-        )
+    check_size(params, "residue")
     sv = validate(params, lambdas, "residue")
     terms = _residue_terms(params, sv.lambdas, tuple(range(L)))
     return s(params.gamma) ** L * pairwise_sum(terms)
@@ -241,12 +236,7 @@ def partition_quadrature_info(params: ModelParams, lambdas,
     by less than 1e-10 in relative terms, or raises NoConvergence past the
     node cap.
     """
-    L = params.L
-    if L > L_MAX_QUADRATURE:
-        raise TooLarge(
-            f"quadrature route capped at L = {L_MAX_QUADRATURE} "
-            f"(requested {L})"
-        )
+    check_size(params, "quadrature")
     sv = validate(params, lambdas, "quadrature")
     if spec is None:
         spec = auto_contour(sv.lambdas)

@@ -1,4 +1,4 @@
-"""Shared parameter types, hyperbolic helpers, and validation gates.
+"""Parameter types, hyperbolic helpers, validation gates and the route table.
 
 Conventions used throughout the package:
 
@@ -12,17 +12,14 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import cmath
+import importlib
+import math
+import os
+from collections.abc import Callable
 from dataclasses import dataclass
 
 EPS_SING = 1e-8  # minimum |sinh| for any weight or coefficient denominator
 EPS_SEP = 1e-6   # minimum |sinh| separation between spectral parameters
-
-L_MAX_FACE_DEFAULT = 5   # overridable through the SOSDW_MAX_L_FACE env var
-L_MAX_ALGEBRA = 10
-L_MAX_PERMUTATION = 8
-L_MAX_QUADRATURE = 3
-
-ROUTES = ("face", "algebra", "permutation", "residue", "quadrature")
 
 
 class ValidationError(ValueError):
@@ -160,23 +157,91 @@ class DerivedVariables:
         )
 
 
-def _theta_offsets(route: str, L: int) -> range:
-    """Integer offsets n whose denominators sinh(theta + n*gamma) the route uses.
+def face_cap() -> int:
+    """Largest size the face enumeration accepts (env-overridable)."""
+    raw = os.environ.get("SOSDW_MAX_L_FACE")
+    if raw is None:
+        return 5
+    try:
+        return int(raw)
+    except ValueError as exc:
+        raise ValidationError(
+            f"SOSDW_MAX_L_FACE must be an integer, got {raw!r}"
+        ) from exc
 
-    The face route reads its dynamical argument one step above the top-left
-    height of each quartet, so it touches offsets 1..L+1.  The algebraic
-    route resolves operator-valued shifts branch by branch, which widens the
-    window on both sides.  The permutation and residue routes share the
-    closed-form denominator window, sized so that the functional-equation
-    coefficients built on top of them stay finite as well.
+
+def _late(module: str, name: str) -> Callable:
+    """Call ``sosdw.<module>.<name>`` as bound at call time, not at import.
+
+    The route modules import this one, and a function swapped in after
+    import must be the one that runs.
     """
-    if route == "face":
-        return range(1, L + 2)
-    if route == "algebra":
-        return range(1 - L, 2 * L + 2)
-    if route == "quadrature":
-        return range(1, L + 1)
-    return range(1, 2 * L + 2)
+    return lambda *args: getattr(
+        importlib.import_module(f"{__package__}.{module}"), name)(*args)
+
+
+def _exact(module: str, name: str) -> Callable:
+    """Evaluator of a route whose function returns the value alone."""
+    fn = _late(module, name)
+    return lambda params, lambdas, contour: (fn(params, lambdas), None)
+
+
+@dataclass(frozen=True)
+class Route:
+    """One evaluation route: how it runs, how far it reaches, what it checks.
+
+    ``evaluate(params, lambdas, contour)`` returns ``(value, detail)``, and
+    ``workload(L, detail)`` the number of terms, states or nodes summed.
+    ``window(L)`` holds the offsets n whose denominators
+    sinh(theta + n*gamma) the route divides by; ``separated`` routes also
+    divide by spectral and inhomogeneity gaps.
+    """
+
+    evaluate: Callable
+    workload: Callable
+    cap: Callable  # () -> largest accepted L
+    window: Callable
+    separated: bool = False
+
+
+# Face reads its dynamical argument one step above the top-left height of
+# each quartet.  The algebraic route resolves operator-valued shifts branch
+# by branch, which widens its window on both sides.  Permutation and residue
+# share the closed-form window, sized so that the functional-equation
+# coefficients built on top of them stay finite as well.
+ROUTE_TABLE = {
+    "face": Route(
+        _exact("face_model", "enumerate_partition"),
+        workload=lambda L, _: _late("face_model", "count_configurations")(L),
+        cap=face_cap, window=lambda L: range(1, L + 2)),
+    "algebra": Route(
+        _exact("yb_algebra", "partition_algebraic"),
+        workload=lambda L, _: 1 << L,
+        cap=lambda: 10, window=lambda L: range(1 - L, 2 * L + 2)),
+    "permutation": Route(
+        _exact("closed_form", "partition_permutation_sum"),
+        workload=lambda L, _: math.factorial(L),
+        cap=lambda: 8, window=lambda L: range(1, 2 * L + 2), separated=True),
+    "residue": Route(
+        _exact("contour", "partition_residue"),
+        workload=lambda L, _: math.factorial(L),
+        cap=lambda: 8, window=lambda L: range(1, 2 * L + 2), separated=True),
+    "quadrature": Route(
+        _late("contour", "partition_quadrature_info"),
+        workload=lambda L, nodes: nodes,
+        cap=lambda: 3, window=lambda L: range(1, L + 1)),
+}
+
+ROUTES = tuple(ROUTE_TABLE)
+
+
+def check_size(params: ModelParams, route: str) -> None:
+    """Raise TooLarge when the system exceeds the route's cap."""
+    cap = ROUTE_TABLE[route].cap()
+    if params.L > cap:
+        raise TooLarge(
+            f"route {route} capped at L = {cap} (requested {params.L})"
+        )
 
 
 def validate(params: ModelParams, lambdas, route: str) -> SpectralVector:
@@ -185,20 +250,21 @@ def validate(params: ModelParams, lambdas, route: str) -> SpectralVector:
     Returns the validated spectral vector, or raises a ValidationError
     subclass identifying the first violated invariant.
     """
-    if route not in ROUTES:
+    if route not in ROUTE_TABLE:
         raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
+    spec = ROUTE_TABLE[route]
     lams = tuple(complex(z) for z in lambdas)
     if len(lams) != params.L:
         raise BadLength(
             f"route {route}: expected {params.L} spectral parameters, "
             f"got {len(lams)}"
         )
-    for n in _theta_offsets(route, params.L):
+    for n in spec.window(params.L):
         if abs(s(params.theta + n * params.gamma)) <= EPS_SING:
             raise SingularTheta(
                 f"sinh(theta + {n}*gamma) is below {EPS_SING:g}"
             )
-    if route in ("permutation", "residue"):
+    if spec.separated:
         for i in range(params.L):
             for j in range(i + 1, params.L):
                 if abs(s(lams[i] - lams[j])) <= EPS_SEP:

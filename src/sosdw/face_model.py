@@ -12,16 +12,15 @@ height step above the top-left face of the quartet.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
-    L_MAX_FACE_DEFAULT,
     ModelParams,
-    TooLarge,
     ValidationError,
+    check_size,
+    face_cap,  # noqa: F401 - part of this module's interface
     pairwise_sum,
     validate,
 )
@@ -36,19 +35,6 @@ class InvalidQuartet(ValidationError):
 
 class InvalidBoundary(ValidationError):
     """A height boundary violates the unit-step adjacency rule."""
-
-
-def face_cap() -> int:
-    """Largest system size the enumeration accepts (env-overridable)."""
-    raw = os.environ.get("SOSDW_MAX_L_FACE")
-    if raw is None:
-        return L_MAX_FACE_DEFAULT
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValidationError(
-            f"SOSDW_MAX_L_FACE must be an integer, got {raw!r}"
-        ) from exc
 
 
 @dataclass(frozen=True)
@@ -195,11 +181,7 @@ def enumerate_partition(params: ModelParams, lambdas) -> complex:
     configurations is a balanced pairwise sum.
     """
     L = params.L
-    cap = face_cap()
-    if L > cap:
-        raise TooLarge(
-            f"face enumeration capped at L = {cap} (requested {L})"
-        )
+    check_size(params, "face")
     sv = validate(params, lambdas, "face")
     lams = sv.lambdas
     mu = params.mu

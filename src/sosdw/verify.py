@@ -164,9 +164,7 @@ def _suite_dybe(rng, draws):
             and _theta_window_ok(p.gamma, p.theta, -2, 2, 1e-3),
         )
         l1, l2, l3 = draw_spectral(rng, 3)
-        lhs, rhs = rmatrix.dybe_sides(l1, l2, l3, params.theta, params)
-        scale = max(float(np.abs(lhs).max()), float(np.abs(rhs).max()))
-        res = float(np.abs(lhs - rhs).max()) / scale
+        res = rmatrix.dybe_relative_residual(l1, l2, l3, params.theta, params)
         rows.append(_row(
             f"{k + 1:03d}", res, THRESHOLDS["dybe"],
             f"gamma={_c(params.gamma)} theta={_c(params.theta)} "

@@ -23,13 +23,13 @@ import numpy as np
 from .closed_form import coeff_M, coeff_N
 from .core import (
     EPS_SEP,
-    L_MAX_ALGEBRA,
     BadLength,
     CoincidentSpectral,
     ModelParams,
     NumericalError,
     TooLarge,
     ValidationError,
+    check_size,
     s,
     validate,
 )
@@ -180,10 +180,7 @@ def partition_algebraic(params: ModelParams, lambdas,
     convention reconciliation against the face oracle.
     """
     L = params.L
-    if L > L_MAX_ALGEBRA:
-        raise TooLarge(
-            f"algebraic route capped at L = {L_MAX_ALGEBRA} (requested {L})"
-        )
+    check_size(params, "algebra")
     sv = validate(params, lambdas, "algebra")
     offsets = [j + offset_base for j in range(L)]
     v = creation_string(params, sv.lambdas, params.theta, offsets)

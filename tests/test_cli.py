@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
 from sosdw.cli import ConfigError, DEFAULT_TOLERANCES, load_job_config, main
 from sosdw.contour import ContourSpec
+from sosdw.core import ROUTE_TABLE, ROUTES, BadLength, ModelParams, TooLarge
 
 
 def cfg_dict(**overrides):
@@ -251,6 +253,39 @@ class TestBenchCommand:
         assert out.splitlines()[0] == (
             "route,L,nodes_or_terms,wall_ms,value_re,value_im")
         assert out.splitlines()[1].startswith("residue,1,1,")
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_bench_emits_one_row_per_route(self, route, capsys):
+        code = main(["bench", "--lmin", "1", "--lmax", "1",
+                     "--routes", route])
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert code == 0
+        assert [r.split(",")[:2] for r in rows] == [[route, "1"]]
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_bench_stops_one_below_where_route_raises(self, route, capsys,
+                                                      monkeypatch):
+        monkeypatch.delenv("SOSDW_MAX_L_FACE", raising=False)
+        spec = ROUTE_TABLE[route]
+        # bench walks its sizes against a stub; the real route judges them
+        monkeypatch.setitem(ROUTE_TABLE, route, dataclasses.replace(
+            spec, evaluate=lambda p, lams, c: (1j, None),
+            workload=lambda L, detail: 0))
+        main(["bench", "--lmin", "1", "--lmax", str(spec.cap() + 2),
+              "--routes", route])
+        last = int(capsys.readouterr().out.splitlines()[-1].split(",")[1])
+
+        def size_check(L):
+            # too few spectral parameters: past the size check, validation
+            # rejects them before any work is done
+            params = ModelParams(gamma=0.31 + 0.12j, theta=0.57 - 0.08j,
+                                 mu=tuple(0.05 * k for k in range(L)), L=L)
+            spec.evaluate(params, (), None)
+
+        with pytest.raises(BadLength):
+            size_check(last)
+        with pytest.raises(TooLarge):
+            size_check(last + 1)
 
     def test_bench_bad_flags_rejected(self, capsys):
         code = main(["bench", "--lmin", "2", "--lmax", "1",

@@ -161,13 +161,17 @@ class TestFunctionalEquation:
 
 
 class TestAnalyticStructure:
-    @pytest.mark.parametrize("L", [2, 3, 4])
-    def test_special_zero(self, rng, L):
+    @pytest.mark.parametrize(
+        "route, L", [("permutation", 2), ("permutation", 3),
+                     ("permutation", 4), ("face", 2), ("face", 3),
+                     ("face", 4)],
+        ids=["2", "3", "4", "face-2", "face-3", "face-4"])
+    def test_special_zero(self, rng, route, L):
         for _ in range(3):
             params, _ = draw_model(rng, L)
             free = draw_spectral(rng, L - 2)
             lams = (params.mu[0], params.mu[0] - params.gamma) + free
-            assert special_zero_residual(params, lams) < 1e-9
+            assert special_zero_residual(params, lams, route) < 1e-9
 
     @pytest.mark.parametrize("L", [1, 2, 3, 4])
     def test_degree_in_each_variable(self, rng, L):
@@ -191,14 +195,18 @@ class TestAnalyticStructure:
             assert symmetry_residual(params, lams, i, j) < 1e-11
             count += 1
 
-    @pytest.mark.parametrize("L", [2, 3])
-    def test_column_swap_symmetry(self, rng, L):
+    @pytest.mark.parametrize(
+        "route, L", [("permutation", 2), ("permutation", 3), ("face", 2),
+                     ("face", 3), ("face", 4)],
+        ids=["2", "3", "face-2", "face-3", "face-4"])
+    def test_column_swap_symmetry(self, rng, route, L):
         count = 0
         while count < 5:
             params, lams = draw_model(rng, L)
             if permutation_condition(params, lams) > 1e3:
                 continue
-            assert mu_symmetry_residual(params, lams, 0, L - 1) < 1e-11
+            assert mu_symmetry_residual(params, lams, 0, L - 1,
+                                        route) < 1e-11
             count += 1
 
     def test_theta_stabilization(self, rng):

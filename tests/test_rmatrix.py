@@ -5,15 +5,14 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sosdw.core import ModelParams, SingularTheta, s
 from sosdw.rmatrix import (
     SWAP,
     TOTAL_SPIN,
-    dybe_residual,
-    dybe_sides,
+    dybe_relative_residual,
     ice_residual,
     r_matrix,
     unitarity_residual,
@@ -101,14 +100,15 @@ class TestMatrixStructure:
 
 class TestIdentities:
     @given(cbox, cbox, cbox, cbox, cbox)
+    # theta - gamma = -0.012 puts 1/sinh ~ 86 into the factors: the residual
+    # is 1.7e-12 against sides of size 1.05, but 1.7e-16 of the factor norms
+    @example(g=0.72265625, th=0.7109375, l1=0.5j, l2=-0.5j, l3=0.5j)
     @settings(max_examples=40, deadline=None)
     def test_dynamical_yang_baxter(self, g, th, l1, l2, l3):
         if not well_conditioned(g, th):
             return
         p = ModelParams(gamma=g, theta=0.5, mu=(0.0,), L=1)
-        lhs, rhs = dybe_sides(l1, l2, l3, th, p)
-        scale = max(np.abs(lhs).max(), np.abs(rhs).max(), 1e-30)
-        assert dybe_residual(l1, l2, l3, th, p) <= 1e-12 * scale
+        assert dybe_relative_residual(l1, l2, l3, th, p) <= 1e-12
 
     @given(cbox, cbox, cbox)
     @settings(max_examples=40, deadline=None)
