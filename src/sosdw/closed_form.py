@@ -37,6 +37,12 @@ class NoPolynomialFit(NumericalError):
     """No polynomial of degree up to the probe bound matches the samples."""
 
 
+def _evaluator(params: ModelParams, route: str):
+    """The partition function at given spectral parameters via ``route``."""
+    evaluate = ROUTE_TABLE[route].evaluate
+    return lambda lams: evaluate(params, lams, None)[0]
+
+
 def _den_spectral(z: complex) -> complex:
     v = s(z)
     if abs(v) < 1e-13:
@@ -151,8 +157,8 @@ def normalization_constant(params: ModelParams) -> complex:
     return val
 
 
-def partition_permutation_sum(params: ModelParams, lambdas) -> complex:
-    """Partition function as a sum of factorized terms over permutations.
+def _permutation_terms(params: ModelParams, lambdas) -> list:
+    """The factorized terms, one per ordering of the spectral parameters.
 
     The analytically cancelled form of the closed expression: the only
     surviving prefactor is sinh(gamma)^L, and each permutation contributes
@@ -161,8 +167,7 @@ def partition_permutation_sum(params: ModelParams, lambdas) -> complex:
     """
     L = params.L
     check_size(params, "permutation")
-    sv = validate(params, lambdas, "permutation")
-    lams = sv.lambdas
+    lams = validate(params, lambdas, "permutation").lambdas
     g = params.gamma
     th = params.theta
     mu = params.mu
@@ -189,7 +194,12 @@ def partition_permutation_sum(params: ModelParams, lambdas) -> complex:
             for m in range(p + 1, L):
                 v *= lratio[perm[m]][perm[p]]
         terms.append(v)
-    return pairwise_sum(terms)
+    return terms
+
+
+def partition_permutation_sum(params: ModelParams, lambdas) -> complex:
+    """Partition function as a sum of factorized terms over permutations."""
+    return pairwise_sum(_permutation_terms(params, lambdas))
 
 
 def permutation_condition(params: ModelParams, lambdas) -> float:
@@ -199,28 +209,9 @@ def permutation_condition(params: ModelParams, lambdas) -> float:
     draws where relative comparisons of the partition function lose digits
     to cancellation.
     """
-    val = partition_permutation_sum(params, lambdas)
-    sv = validate(params, lambdas, "permutation")
-    lams = sv.lambdas
-    L = params.L
-    g = params.gamma
-    th = params.theta
-    mu = params.mu
-    top = 0.0
-    for perm in itertools.permutations(range(L)):
-        v = s(g) ** L
-        for p in range(L):
-            a = perm[p]
-            v *= s(th + (p + 1) * g - lams[a] + mu[p]) / s(th + (p + 1) * g)
-            for j in range(p + 1, L):
-                v *= s(lams[a] - mu[j] + g)
-            for j in range(p):
-                v *= s(lams[a] - mu[j])
-        for p in range(L):
-            for m in range(p + 1, L):
-                b, a = perm[m], perm[p]
-                v *= s(lams[b] - lams[a] + g) / s(lams[b] - lams[a])
-        top = max(top, abs(v))
+    terms = _permutation_terms(params, lambdas)
+    val = pairwise_sum(terms)
+    top = max(abs(v) for v in terms)
     if abs(val) == 0.0:
         return float("inf") if top > 0.0 else 1.0
     return top / abs(val)
@@ -235,12 +226,12 @@ def partition_L1(params: ModelParams, lam: complex) -> complex:
 
 
 def functional_equation_residual(params: ModelParams, lambdas,
-                                 evaluator) -> float:
+                                 route: str = "permutation") -> float:
     """Relative residual of the linear relation among L+2 evaluations.
 
-    ``lambdas`` holds the L+2 values (lambda_0, ..., lambda_{L+1}) and
-    ``evaluator`` maps a tuple of L spectral parameters to the partition
-    function.  The residual is |sum of terms| / max |term|.
+    ``lambdas`` holds the L+2 values (lambda_0, ..., lambda_{L+1}); the
+    partition function at each L-subset is evaluated through ``route``.
+    The residual is |sum of terms| / max |term|.
     """
     L = params.L
     n = L + 1
@@ -253,18 +244,19 @@ def functional_equation_residual(params: ModelParams, lambdas,
                 raise CoincidentSpectral(
                     f"functional equation arguments {a} and {b} coincide"
                 )
+    ev = _evaluator(params, route)
     terms = []
     for i in range(1, n + 1):
         mi = coeff_M(i, lam, params.theta, params, n)
         args = tuple(lam[k] for k in range(1, n + 1) if k != i)
-        terms.append(mi * evaluator(args))
+        terms.append(mi * ev(args))
     for j in range(2, n + 1):
         for i in range(1, j):
             nji = coeff_N(j, i, lam, params.theta, params, n)
             args = (lam[0],) + tuple(
                 lam[k] for k in range(1, n + 1) if k not in (i, j)
             )
-            terms.append(nji * evaluator(args))
+            terms.append(nji * ev(args))
     scale = max(abs(t) for t in terms)
     if scale == 0.0:
         return 0.0
@@ -292,10 +284,7 @@ def special_zero_residual(params: ModelParams, lambdas,
         raise BadLength(
             "slots 1 and 2 must carry the pinned values mu_1 and mu_1-gamma"
         )
-    evaluate = ROUTE_TABLE[route].evaluate
-
-    def ev(lams):
-        return evaluate(params, lams, None)[0]
+    ev = _evaluator(params, route)
 
     def pinned(offset):
         probe = [mu1 + offset, mu1 - g + offset] + lam[2:]
@@ -358,7 +347,7 @@ def _top_divided_difference(xs, ys) -> complex:
 
 
 def leading_coefficient_interpolated(params: ModelParams,
-                                     evaluator=None) -> complex:
+                                     route: str = "permutation") -> complex:
     """Top-monomial coefficient extracted by nested interpolation.
 
     Samples the polynomial-normalized function on a deterministic tensor
@@ -367,8 +356,7 @@ def leading_coefficient_interpolated(params: ModelParams,
     independent oracle for :func:`asymptotic_leading_coefficient`.
     """
     L = params.L
-    if evaluator is None:
-        evaluator = lambda lams: partition_permutation_sum(params, lams)
+    ev = _evaluator(params, route)
     lam_nodes = [[0.13 + 0.37 * k + 0.061 * v for k in range(L + 1)]
                  for v in range(L)]
     x_nodes = [[cmath.exp(2 * z) for z in row] for row in lam_nodes]
@@ -377,7 +365,7 @@ def leading_coefficient_interpolated(params: ModelParams,
         v = len(prefix)
         if v == L:
             lams = tuple(lam_nodes[w][prefix[w]] for w in range(L))
-            return evaluator(lams) * cmath.exp(L * sum(lams))
+            return ev(lams) * cmath.exp(L * sum(lams))
         vals = [topc(prefix + (k,)) for k in range(L + 1)]
         return _top_divided_difference(x_nodes[v], vals)
 
@@ -437,7 +425,8 @@ def _lagrange_eval(xs, ys, x) -> complex:
     return val
 
 
-def degree_probe(params: ModelParams, which: int, evaluator=None) -> int:
+def degree_probe(params: ModelParams, which: int,
+                 route: str = "permutation") -> int:
     """Least polynomial degree in x_which fitting the normalized function.
 
     Samples 2L+2 nodes of the polynomial-normalized partition function along
@@ -448,8 +437,7 @@ def degree_probe(params: ModelParams, which: int, evaluator=None) -> int:
     L = params.L
     if not 0 <= which < L:
         raise BadLength(f"variable index {which} outside 0..{L - 1}")
-    if evaluator is None:
-        evaluator = lambda lams: partition_permutation_sum(params, lams)
+    ev = _evaluator(params, route)
     frozen = [-0.51 - 0.19 * v + 0.11j * (v + 1) for v in range(L)]
     lam_nodes = [0.09 + 0.29 * k for k in range(2 * L + 2)]
     xs, ys = [], []
@@ -457,7 +445,7 @@ def degree_probe(params: ModelParams, which: int, evaluator=None) -> int:
         lams = list(frozen)
         lams[which] = node
         xs.append(cmath.exp(2 * node))
-        ys.append(evaluator(tuple(lams))
+        ys.append(ev(tuple(lams))
                   * cmath.exp(L * (sum(frozen) - frozen[which] + node)))
     scale = max(abs(y) for y in ys)
     if scale == 0.0:
@@ -475,7 +463,7 @@ def degree_probe(params: ModelParams, which: int, evaluator=None) -> int:
 
 
 def symmetry_residual(params: ModelParams, lambdas, i: int, j: int,
-                      evaluator=None) -> float:
+                      route: str = "permutation") -> float:
     """Relative change of the partition function under swapping two rows."""
     L = params.L
     if len(lambdas) != L:
@@ -484,15 +472,14 @@ def symmetry_residual(params: ModelParams, lambdas, i: int, j: int,
         raise BadLength("swap indices outside the spectral vector")
     if i == j:
         return 0.0
-    if evaluator is None:
-        evaluator = lambda lams: partition_permutation_sum(params, lams)
+    ev = _evaluator(params, route)
     lam = [complex(z) for z in lambdas]
     swapped = list(lam)
     swapped[i], swapped[j] = swapped[j], swapped[i]
-    base = evaluator(tuple(lam))
+    base = ev(tuple(lam))
     if base == 0:
         raise NumericalError("symmetry probe hit a zero of the function")
-    return abs(evaluator(tuple(swapped)) - base) / abs(base)
+    return abs(ev(tuple(swapped)) - base) / abs(base)
 
 
 def mu_symmetry_residual(params: ModelParams, lambdas, i: int, j: int,
@@ -514,9 +501,8 @@ def mu_symmetry_residual(params: ModelParams, lambdas, i: int, j: int,
     mu2[i], mu2[j] = mu2[j], mu2[i]
     params2 = ModelParams(gamma=params.gamma, theta=params.theta,
                           mu=tuple(mu2), L=L)
-    evaluate = ROUTE_TABLE[route].evaluate
-    base = evaluate(params, tuple(lambdas), None)[0]
+    base = _evaluator(params, route)(tuple(lambdas))
     if base == 0:
         raise NumericalError("column-swap probe hit a zero of the function")
-    other = evaluate(params2, tuple(lambdas), None)[0]
+    other = _evaluator(params2, route)(tuple(lambdas))
     return abs(other - base) / abs(base)

@@ -77,22 +77,12 @@ def auto_contour(lambdas, nodes: int = 64) -> ContourSpec:
     return ContourSpec(center=center, radius=reach + 0.3, nodes=nodes)
 
 
-def integrand(w, lambdas, params: ModelParams) -> complex:
-    """The bracketed integrand at one point of the w-space.
-
-    The caller supplies the overall sinh(gamma)^L / (2*pi*i)^L prefactor
-    and the contour measure.
-    """
+def _numerator(w, params: ModelParams) -> complex:
+    """The integrand without its pole denominators 1/sinh(w_i - lambda_j)."""
     L = params.L
-    if len(w) != L or len(lambdas) != L:
-        raise BadLength("integrand needs L integration points and L poles")
     g = params.gamma
     th = params.theta
     mu = params.mu
-    for wi in w:
-        for lj in lambdas:
-            if abs(s(wi - lj)) < POLE_EPS:
-                raise PoleHit(f"evaluation point {wi} sits on a pole")
     val = 1.0 + 0j
     for i in range(L):
         for j in range(i + 1, L):
@@ -104,6 +94,23 @@ def integrand(w, lambdas, params: ModelParams) -> complex:
             val *= s(mu[j] - w[i])
         for j in range(i + 1, L):
             val *= s(w[i] - mu[j] + g)
+    return val
+
+
+def integrand(w, lambdas, params: ModelParams) -> complex:
+    """The bracketed integrand at one point of the w-space.
+
+    The caller supplies the overall sinh(gamma)^L / (2*pi*i)^L prefactor
+    and the contour measure.
+    """
+    L = params.L
+    if len(w) != L or len(lambdas) != L:
+        raise BadLength("integrand needs L integration points and L poles")
+    for wi in w:
+        for lj in lambdas:
+            if abs(s(wi - lj)) < POLE_EPS:
+                raise PoleHit(f"evaluation point {wi} sits on a pole")
+    val = _numerator(w, params)
     for i in range(L):
         for j in range(L):
             val /= s(w[i] - lambdas[j])
@@ -113,23 +120,10 @@ def integrand(w, lambdas, params: ModelParams) -> complex:
 def _residue_terms(params: ModelParams, lams, enclosed):
     """Residue contributions over injective pole assignments."""
     L = params.L
-    g = params.gamma
-    th = params.theta
-    mu = params.mu
     terms = []
     for sigma in itertools.permutations(enclosed, L):
         w = [lams[sigma[i]] for i in range(L)]
-        num = 1.0 + 0j
-        for i in range(L):
-            for j in range(i + 1, L):
-                num *= s(w[j] - w[i] + g) * s(w[j] - w[i])
-        for j in range(L):
-            num *= s(th + (j + 1) * g - w[j] + mu[j]) / s(th + (j + 1) * g)
-        for i in range(L):
-            for j in range(i):
-                num *= s(mu[j] - w[i])
-            for j in range(i + 1, L):
-                num *= s(w[i] - mu[j] + g)
+        num = _numerator(w, params)
         den = 1.0 + 0j
         for i in range(L):
             for j in range(L):
@@ -147,11 +141,8 @@ def partition_residue(params: ModelParams, lambdas) -> complex:
     assignments die against the vanishing pair factor, leaving a sum over
     injective assignments.
     """
-    L = params.L
     check_size(params, "residue")
-    sv = validate(params, lambdas, "residue")
-    terms = _residue_terms(params, sv.lambdas, tuple(range(L)))
-    return s(params.gamma) ** L * pairwise_sum(terms)
+    return partition_residue_partial(params, lambdas, range(params.L))
 
 
 def partition_residue_partial(params: ModelParams, lambdas,
@@ -215,17 +206,20 @@ def tensor_quadrature(params: ModelParams, lambdas, spec: ContourSpec,
     )
 
 
+def _doubling(params: ModelParams, lams, spec: ContourSpec, max_nodes: int):
+    """Yield (nodes, value) from spec.nodes up, doubling to max_nodes."""
+    nodes = spec.nodes
+    while nodes <= max_nodes:
+        yield nodes, tensor_quadrature(params, lams, spec, nodes)
+        nodes *= 2
+
+
 def quadrature_convergence(params: ModelParams, lambdas, spec: ContourSpec,
                            max_nodes: int = MAX_NODES):
     """Values under node doubling, as (nodes, value) pairs."""
     sv = validate(params, lambdas, "quadrature")
     check_contour(spec, sv.lambdas)
-    out = []
-    nodes = spec.nodes
-    while nodes <= max_nodes:
-        out.append((nodes, tensor_quadrature(params, sv.lambdas, spec, nodes)))
-        nodes *= 2
-    return out
+    return list(_doubling(params, sv.lambdas, spec, max_nodes))
 
 
 def partition_quadrature_info(params: ModelParams, lambdas,
@@ -241,15 +235,12 @@ def partition_quadrature_info(params: ModelParams, lambdas,
     if spec is None:
         spec = auto_contour(sv.lambdas)
     check_contour(spec, sv.lambdas)
-    nodes = max(spec.nodes, 4)
     prev = None
-    while nodes <= MAX_NODES:
-        val = tensor_quadrature(params, sv.lambdas, spec, nodes)
+    for nodes, val in _doubling(params, sv.lambdas, spec, MAX_NODES):
         if prev is not None:
             if abs(val - prev) <= 1e-10 * max(abs(val), abs(prev)):
                 return val, nodes
         prev = val
-        nodes *= 2
     raise NoConvergence(
         f"quadrature still moving after {MAX_NODES} nodes per variable"
     )

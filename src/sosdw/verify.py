@@ -103,6 +103,11 @@ def _cs(zs) -> str:
     return "[" + ", ".join(_c(z) for z in zs) + "]"
 
 
+def _where(params) -> str:
+    """Reproduce-detail prefix: the drawn anisotropy and dynamical height."""
+    return f"gamma={_c(params.gamma)} theta={_c(params.theta)}"
+
+
 def _row(label, residual, threshold, detail) -> CheckRow:
     residual = float(residual)
     return CheckRow(label=label, residual=residual, threshold=threshold,
@@ -155,6 +160,14 @@ def _mu_gaps_ok(params, floor=1e-3) -> bool:
     return True
 
 
+def _generic_closed_form(params) -> bool:
+    """Draw region of the closed-form suites: clear of every denominator."""
+    return (abs(s(params.gamma)) > 1e-3
+            and _theta_window_ok(params.gamma, params.theta, 0,
+                                 2 * params.L + 2, 1e-3)
+            and _mu_gaps_ok(params))
+
+
 def _suite_dybe(rng, draws):
     rows = []
     for k in range(draws):
@@ -167,8 +180,7 @@ def _suite_dybe(rng, draws):
         res = rmatrix.dybe_relative_residual(l1, l2, l3, params.theta, params)
         rows.append(_row(
             f"{k + 1:03d}", res, THRESHOLDS["dybe"],
-            f"gamma={_c(params.gamma)} theta={_c(params.theta)} "
-            f"l1={_c(l1)} l2={_c(l2)} l3={_c(l3)}",
+            f"{_where(params)} l1={_c(l1)} l2={_c(l2)} l3={_c(l3)}",
         ))
     return rows
 
@@ -185,8 +197,7 @@ def _suite_ice(rng, draws):
         res = rmatrix.ice_residual(lam, params.theta, params) / scale
         rows.append(_row(
             f"{k + 1:03d}", res, THRESHOLDS["ice"],
-            f"gamma={_c(params.gamma)} theta={_c(params.theta)} "
-            f"lam={_c(lam)}",
+            f"{_where(params)} lam={_c(lam)}",
         ))
     return rows
 
@@ -214,8 +225,7 @@ def _suite_unitarity(rng, draws):
         res = float(np.abs(prod - target).max()) / scale
         rows.append(_row(
             f"{k + 1:03d}", res, THRESHOLDS["unitarity"],
-            f"gamma={_c(params.gamma)} theta={_c(params.theta)} "
-            f"lam={_c(lam)}",
+            f"{_where(params)} lam={_c(lam)}",
         ))
     return rows
 
@@ -240,8 +250,7 @@ def _suite_hexagon(rng, draws):
         res = face_model.hexagon_relative_residual(u, v, ks, params)
         rows.append(_row(
             f"{k + 1:03d}", res, THRESHOLDS["hexagon"],
-            f"gamma={_c(params.gamma)} theta={_c(params.theta)} "
-            f"u={_c(u)} v={_c(v)} ks={ks}",
+            f"{_where(params)} u={_c(u)} v={_c(v)} ks={ks}",
         ))
     return rows
 
@@ -273,8 +282,7 @@ def _suite_commut(rng, draws):
         rows.append(_row(
             f"{k + 1:03d} L={L} {worst}", resmap[worst],
             THRESHOLDS["commut"],
-            f"gamma={_c(params.gamma)} theta={_c(params.theta)} "
-            f"mu={_cs(params.mu)} l1={_c(l1)} l2={_c(l2)}",
+            f"{_where(params)} mu={_cs(params.mu)} l1={_c(l1)} l2={_c(l2)}",
         ))
     return rows
 
@@ -294,8 +302,7 @@ def _suite_cbb(rng, draws):
         res = yb_algebra.cbb_residual(n, lams, params.theta, params)
         rows.append(_row(
             f"{k + 1:03d} n={n} L={L}", res, THRESHOLDS["cbb"],
-            f"gamma={_c(params.gamma)} theta={_c(params.theta)} "
-            f"mu={_cs(params.mu)} lambdas={_cs(lams)}",
+            f"{_where(params)} mu={_cs(params.mu)} lambdas={_cs(lams)}",
         ))
     return rows
 
@@ -313,8 +320,7 @@ def _suite_nilpotency(rng, draws):
         res = yb_algebra.nilpotency_norm(params, lams)
         rows.append(_row(
             f"{k + 1:03d} L={L}", res, THRESHOLDS["nilpotency"],
-            f"gamma={_c(params.gamma)} theta={_c(params.theta)} "
-            f"mu={_cs(params.mu)} lambdas={_cs(lams)}",
+            f"{_where(params)} mu={_cs(params.mu)} lambdas={_cs(lams)}",
         ))
     return rows
 
@@ -325,19 +331,13 @@ def _suite_functional(rng, draws):
         L = 1 + (k % 4)
         params = _draw_params(
             rng, L,
-            pred=lambda p: abs(s(p.gamma)) > 1e-3
-            and _theta_window_ok(p.gamma, p.theta, 0, 2 * p.L + 2, 1e-3)
-            and _mu_gaps_ok(p),
+            pred=_generic_closed_form,
         )
         lams = _draw_separated(rng, L + 2, 1e-2)
-        res = closed_form.functional_equation_residual(
-            params, lams,
-            lambda args: closed_form.partition_permutation_sum(params, args),
-        )
+        res = closed_form.functional_equation_residual(params, lams)
         rows.append(_row(
             f"{k + 1:03d} L={L}", res, THRESHOLDS["functional"],
-            f"gamma={_c(params.gamma)} theta={_c(params.theta)} "
-            f"mu={_cs(params.mu)} lambdas={_cs(lams)}",
+            f"{_where(params)} mu={_cs(params.mu)} lambdas={_cs(lams)}",
         ))
     return rows
 
@@ -348,9 +348,7 @@ def _suite_zeroes(rng, draws):
         L = 2 + (k % 3)
         params = _draw_params(
             rng, L,
-            pred=lambda p: abs(s(p.gamma)) > 1e-3
-            and _theta_window_ok(p.gamma, p.theta, 0, 2 * p.L + 2, 1e-3)
-            and _mu_gaps_ok(p),
+            pred=_generic_closed_form,
         )
         pins = (params.mu[0], params.mu[0] - params.gamma)
         free = _draw_separated(rng, L - 2, 1e-2, avoid=pins)
@@ -358,8 +356,7 @@ def _suite_zeroes(rng, draws):
         res = closed_form.special_zero_residual(params, lams)
         rows.append(_row(
             f"{k + 1:03d} L={L}", res, THRESHOLDS["zeroes"],
-            f"gamma={_c(params.gamma)} theta={_c(params.theta)} "
-            f"mu={_cs(params.mu)} lambdas={_cs(lams)}",
+            f"{_where(params)} mu={_cs(params.mu)} lambdas={_cs(lams)}",
         ))
     return rows
 
@@ -370,9 +367,7 @@ def _suite_symmetry(rng, draws):
         L = 2 + (k % 3)
         params = _draw_params(
             rng, L,
-            pred=lambda p: abs(s(p.gamma)) > 1e-3
-            and _theta_window_ok(p.gamma, p.theta, 0, 2 * p.L + 2, 1e-3)
-            and _mu_gaps_ok(p),
+            pred=_generic_closed_form,
         )
         for _ in range(_MAX_REJECT):
             lams = _draw_separated(rng, L, 1e-2)
@@ -387,8 +382,7 @@ def _suite_symmetry(rng, draws):
         rows.append(_row(
             f"{k + 1:03d} L={L} swap=({i},{j})", max(res_l, res_m),
             THRESHOLDS["symmetry"],
-            f"gamma={_c(params.gamma)} theta={_c(params.theta)} "
-            f"mu={_cs(params.mu)} lambdas={_cs(lams)}",
+            f"{_where(params)} mu={_cs(params.mu)} lambdas={_cs(lams)}",
         ))
     return rows
 
@@ -399,17 +393,14 @@ def _suite_degree(rng, draws):
         L = 1 + (k % 4)
         params = _draw_params(
             rng, L,
-            pred=lambda p: abs(s(p.gamma)) > 1e-3
-            and _theta_window_ok(p.gamma, p.theta, 0, 2 * p.L + 2, 1e-3)
-            and _mu_gaps_ok(p),
+            pred=_generic_closed_form,
         )
         which = rng.randrange(L)
         d = closed_form.degree_probe(params, which)
         rows.append(_row(
             f"{k + 1:03d} L={L} var={which} deg={d}", float(abs(d - L)),
             THRESHOLDS["degree"],
-            f"gamma={_c(params.gamma)} theta={_c(params.theta)} "
-            f"mu={_cs(params.mu)}",
+            f"{_where(params)} mu={_cs(params.mu)}",
         ))
     return rows
 
@@ -429,17 +420,14 @@ def _suite_asymptotic(rng, draws):
         L = 1 + (k % 3)
         params = _draw_params(
             rng, L,
-            pred=lambda p: abs(s(p.gamma)) > 1e-3
-            and _theta_window_ok(p.gamma, p.theta, 0, 2 * p.L + 2, 1e-3)
-            and _mu_gaps_ok(p) and _qt_floor_ok(p),
+            pred=lambda p: _generic_closed_form(p) and _qt_floor_ok(p),
         )
         expect = closed_form.asymptotic_leading_coefficient(params)
         got = closed_form.leading_coefficient_interpolated(params)
         res = abs(got - expect) / abs(expect)
         rows.append(_row(
             f"{k + 1:03d} L={L}", res, THRESHOLDS["asymptotic"],
-            f"gamma={_c(params.gamma)} theta={_c(params.theta)} "
-            f"mu={_cs(params.mu)}",
+            f"{_where(params)} mu={_cs(params.mu)}",
         ))
     return rows
 
@@ -458,8 +446,7 @@ def _suite_ode(rng, draws):
         res = closed_form.ode_residual_L1(x, params)
         rows.append(_row(
             f"{k + 1:03d}", res, THRESHOLDS["ode"],
-            f"gamma={_c(params.gamma)} theta={_c(params.theta)} "
-            f"mu={_cs(params.mu)} lam={_c(lam)}",
+            f"{_where(params)} mu={_cs(params.mu)} lam={_c(lam)}",
         ))
     return rows
 
@@ -481,8 +468,7 @@ def _suite_contour(rng, draws):
         res = abs(quad - ref) / max(abs(quad), abs(ref))
         rows.append(_row(
             f"{k + 1:03d} L={L}", res, THRESHOLDS["contour"],
-            f"gamma={_c(params.gamma)} theta={_c(params.theta)} "
-            f"mu={_cs(params.mu)} lambdas={_cs(lams)}",
+            f"{_where(params)} mu={_cs(params.mu)} lambdas={_cs(lams)}",
         ))
     return rows
 

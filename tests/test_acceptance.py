@@ -145,11 +145,6 @@ def test_criterion_4_functional_equation():
         for L in l_values:
             rng = random.Random(4000 + L)
             params, _ = draw_model(rng, L, routes=("permutation",))
-            if route == "face":
-                evaluator = lambda args: enumerate_partition(params, args)
-            else:
-                evaluator = lambda args: partition_permutation_sum(
-                    params, args)
             accepted = 0
             attempts = 0
             while accepted < 10:
@@ -157,8 +152,7 @@ def test_criterion_4_functional_equation():
                 assert attempts < 500
                 pool = draw_spectral(rng, L + 2)
                 try:
-                    res = functional_equation_residual(params, pool,
-                                                       evaluator)
+                    res = functional_equation_residual(params, pool, route)
                 except ValidationError:
                     continue
                 worst = max(worst, res)

@@ -122,9 +122,8 @@ class TestFunctionalEquation:
         for _ in range(3):
             lams = draw_spectral(rng, L + 2)
             try:
-                r = functional_equation_residual(
-                    params, lams,
-                    lambda a: partition_permutation_sum(params, a))
+                r = functional_equation_residual(params, lams,
+                                                 "permutation")
             except CoincidentSpectral:
                 continue
             assert r < 1e-9
@@ -135,8 +134,7 @@ class TestFunctionalEquation:
         for _ in range(2):
             lams = draw_spectral(rng, L + 2)
             try:
-                r = functional_equation_residual(
-                    params, lams, lambda a: enumerate_partition(params, a))
+                r = functional_equation_residual(params, lams, "face")
             except CoincidentSpectral:
                 continue
             assert r < 1e-9
@@ -144,9 +142,7 @@ class TestFunctionalEquation:
     def test_wrong_argument_count(self, complex_params_l2):
         params, _ = complex_params_l2
         with pytest.raises(BadLength):
-            functional_equation_residual(
-                params, (0.1, 0.2, 0.3),
-                lambda a: partition_permutation_sum(params, a))
+            functional_equation_residual(params, (0.1, 0.2, 0.3))
 
     def test_coefficients_finite(self, complex_params_l2):
         params, _ = complex_params_l2

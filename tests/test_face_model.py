@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from sosdw.core import ModelParams, TooLarge, ValidationError
+from sosdw.core import ROUTE_TABLE, ModelParams, TooLarge, ValidationError
 from sosdw.closed_form import partition_L1, partition_permutation_sum
 from sosdw.face_model import (
     UNSET,
@@ -114,9 +114,10 @@ class TestBoundary:
 
 class TestEnumeration:
     @pytest.mark.parametrize("L,count", [(1, 1), (2, 2), (3, 7), (4, 42),
-                                         (5, 429)])
+                                         (5, 429), (6, 7436)])
     def test_configuration_counts(self, L, count):
         assert count_configurations(L) == count
+        assert ROUTE_TABLE["face"].workload(L, None) == count
 
     def test_grids_are_complete_and_valid(self):
         for grid in enumerate_height_grids(3):

@@ -1,0 +1,25 @@
+"""Smoke tests: each script in scripts/ runs end to end and exits 0."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("compare_routes",
+     ["--lmin", "1", "--lmax", "3", "--draws", "1", "--seed", "0"]),
+    ("run_checks", ["--suites", "ice,ode", "--draws", "2"]),
+])
+def test_script_main_returns_zero(name, argv, capsys):
+    assert _load(name).main(argv) == 0
+    assert "PASS" in capsys.readouterr().out
