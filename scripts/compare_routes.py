@@ -19,7 +19,6 @@ import sys
 from sosdw.cli import DEFAULT_TOLERANCES, pairwise_deviations
 from sosdw.core import ROUTE_TABLE
 from sosdw.sampling import draw_model
-from sosdw.yb_algebra import reconcile_offset_convention
 
 # The routes that are exact up to rounding; quadrature stops at its own
 # convergence threshold, so it is left out of the comparison.
@@ -34,10 +33,6 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
 
-    rec = reconcile_offset_convention(seed=args.seed, draws=10)
-    print(f"reconciliation ratio (algebra/face): {rec.ratio:.17g}  "
-          f"spread {rec.ratio_spread:.3g}")
-
     tol = DEFAULT_TOLERANCES["route_agreement"]
     overall = 0.0
     for L in range(args.lmin, args.lmax + 1):
@@ -51,8 +46,6 @@ def main(argv=None) -> int:
             params, lams = draw_model(rng, L, routes=tuple(routes))
             values = {r: ROUTE_TABLE[r].evaluate(params, lams, None)[0]
                       for r in routes}
-            if "algebra" in values:
-                values["algebra"] /= rec.ratio
             for dev in pairwise_deviations(values, tol):
                 worst = max(worst, dev["relative"])
         print(f"L={L}: routes {','.join(routes)}  draws {args.draws}  "

@@ -58,7 +58,6 @@ from .yb_algebra import (
     monodromy_entry,
     nilpotency_norm,
     partition_algebraic,
-    reconcile_offset_convention,
 )
 
 __version__ = "0.1.0"
@@ -100,7 +99,6 @@ __all__ = [
     "partition_residue",
     "permutation_condition",
     "r_matrix",
-    "reconcile_offset_convention",
     "run_suite",
     "special_zero_residual",
     "symmetry_residual",

@@ -204,8 +204,14 @@ def _hexagon_weight(tl, tr, bl, br, lam, params):
                        lam, params)
 
 
-def _hexagon_terms(u, v, ks, params):
-    """Per-candidate products for both sides of the star-triangle relation."""
+def hexagon_residual(u, v, ks, params) -> float:
+    """Star-triangle residual over the largest single candidate product.
+
+    ``ks`` lists the six boundary offsets (k1..k6) cyclically; consecutive
+    entries must differ by one.  Each side sums over the internal offset,
+    which is filtered by adjacency with its three face neighbours (at most
+    two candidates survive).  The residual is |LHS - RHS|.
+    """
     k1, k2, k3, k4, k5, k6 = ks
     cyc = list(ks) + [ks[0]]
     for a, b in zip(cyc, cyc[1:]):
@@ -234,30 +240,6 @@ def _hexagon_terms(u, v, ks, params):
             * _hexagon_weight(k0, k5, k3, k4, u + v, params)
             * _hexagon_weight(k1, k6, k0, k5, v, params)
         )
-    return lhs_terms, rhs_terms
-
-
-def hexagon_sides(u, v, ks, params):
-    """Both sides of the face-language star-triangle relation.
-
-    ``ks`` lists the six boundary offsets (k1..k6) cyclically; consecutive
-    entries must differ by one.  Each side sums over the internal offset,
-    which is filtered by adjacency with its three face neighbours (at most
-    two candidates survive).
-    """
-    lhs_terms, rhs_terms = _hexagon_terms(u, v, ks, params)
-    return pairwise_sum(lhs_terms), pairwise_sum(rhs_terms)
-
-
-def hexagon_residual(u, v, ks, params) -> float:
-    """|LHS - RHS| of the star-triangle relation at the given boundary."""
-    lhs, rhs = hexagon_sides(u, v, ks, params)
-    return abs(lhs - rhs)
-
-
-def hexagon_relative_residual(u, v, ks, params) -> float:
-    """|LHS - RHS| divided by the largest single candidate product."""
-    lhs_terms, rhs_terms = _hexagon_terms(u, v, ks, params)
     scale = max(abs(t) for t in lhs_terms + rhs_terms)
     diff = abs(pairwise_sum(lhs_terms) - pairwise_sum(rhs_terms))
     if scale == 0.0:

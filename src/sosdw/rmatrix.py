@@ -117,53 +117,50 @@ def _embedded_r(lam, theta, params, pair, branch=None):
     return m
 
 
-def _dybe_factors(l1, l2, l3, theta, params):
-    """Both sides of the dynamical Yang-Baxter relation as 8x8 factor triples."""
-    l12, l13, l23 = l1 - l2, l1 - l3, l2 - l3
-    lhs = (_embedded_r(l12, theta, params, (0, 1), branch=2),
-           _embedded_r(l13, theta, params, (0, 2)),
-           _embedded_r(l23, theta, params, (1, 2), branch=0))
-    rhs = (_embedded_r(l23, theta, params, (1, 2)),
-           _embedded_r(l13, theta, params, (0, 2), branch=1),
-           _embedded_r(l12, theta, params, (0, 1)))
-    return lhs, rhs
-
-
-def dybe_sides(l1, l2, l3, theta, params):
-    """Both sides of the dynamical Yang-Baxter relation as 8x8 matrices."""
-    lhs, rhs = _dybe_factors(l1, l2, l3, theta, params)
-    return lhs[0] @ lhs[1] @ lhs[2], rhs[0] @ rhs[1] @ rhs[2]
-
-
 def dybe_residual(l1, l2, l3, theta, params) -> float:
-    """Max-abs entry of LHS - RHS of the dynamical Yang-Baxter relation."""
-    lhs, rhs = dybe_sides(l1, l2, l3, theta, params)
-    return float(np.abs(lhs - rhs).max())
-
-
-def dybe_relative_residual(l1, l2, l3, theta, params) -> float:
     """DYBE residual over the larger product of one side's factor 2-norms.
 
-    That product is the forward-error scale of a triple matrix product; a
-    small sinh(theta + n*gamma) can make single factors large while both
-    sides stay of order one.
+    The residual is the max-abs entry of LHS - RHS of the dynamical
+    Yang-Baxter relation as 8x8 matrices.  The factor-norm product is the
+    forward-error scale of a triple matrix product; a small
+    sinh(theta + n*gamma) can make single factors large while both sides
+    stay of order one.
     """
-    factors = _dybe_factors(l1, l2, l3, theta, params)
+    l12, l13, l23 = l1 - l2, l1 - l3, l2 - l3
+    factors = ((_embedded_r(l12, theta, params, (0, 1), branch=2),
+                _embedded_r(l13, theta, params, (0, 2)),
+                _embedded_r(l23, theta, params, (1, 2), branch=0)),
+               (_embedded_r(l23, theta, params, (1, 2)),
+                _embedded_r(l13, theta, params, (0, 2), branch=1),
+                _embedded_r(l12, theta, params, (0, 1))))
     lhs, rhs = (a @ b @ c for a, b, c in factors)
     scale = np.linalg.norm(np.array(factors), 2, axis=(2, 3)).prod(1).max()
     return float(np.abs(lhs - rhs).max() / scale)
 
 
 def unitarity_residual(lam, theta, params) -> float:
-    """Max-abs entry of R(lam) P R(-lam) P - sinh(g+lam) sinh(g-lam) Id."""
+    """Unitarity residual over the product of the two factor 2-norms.
+
+    The residual is the max-abs entry of
+    R(lam) P R(-lam) P - sinh(g+lam) sinh(g-lam) Id.  As for the DYBE, the
+    factor-norm product is the forward-error scale: near a zero of
+    sinh(theta) both factors grow like 1/sinh(theta) while the product
+    stays of the size of sinh(g+lam) sinh(g-lam).
+    """
     g = params.gamma
     r1 = r_matrix(lam, theta, params).entries
     r2 = r_matrix(-lam, theta, params).entries
     target = s(g + lam) * s(g - lam) * np.eye(4, dtype=complex)
-    return float(np.abs(r1 @ SWAP @ r2 @ SWAP - target).max())
+    scale = np.linalg.norm(r1, 2) * np.linalg.norm(r2, 2)
+    return float(np.abs(r1 @ SWAP @ r2 @ SWAP - target).max() / scale)
 
 
 def ice_residual(lam, theta, params) -> float:
-    """Max-abs entry of the commutator of R with the total spin."""
+    """Ice-rule residual over the max-abs entry of R.
+
+    The residual is the max-abs entry of the commutator of R with the total
+    spin; it vanishes exactly, since R has only the six ice-rule entries.
+    """
     r = r_matrix(lam, theta, params).entries
-    return float(np.abs(r @ TOTAL_SPIN - TOTAL_SPIN @ r).max())
+    return (float(np.abs(r @ TOTAL_SPIN - TOTAL_SPIN @ r).max())
+            / float(np.abs(r).max()))

@@ -1,7 +1,8 @@
 """Randomized verification suites for every identity in the package.
 
-Each suite draws seeded random parameter sets, evaluates one family of
-identity residuals, and reports rows of (residual, threshold, verdict).
+``SUITES`` maps each suite name to its check and threshold.  A check draws
+one seeded random parameter set and evaluates one identity residual;
+:func:`run_suite` numbers the draws and gives each row its verdict.
 Residuals are measured relative to the scale of the terms entering the
 identity, so thresholds are dimensionless.
 
@@ -17,35 +18,12 @@ from __future__ import annotations
 import cmath
 import random
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import accumulate, combinations
+from typing import Callable
 
 from . import closed_form, contour, face_model, rmatrix, yb_algebra
 from .core import ModelParams, ValidationError, s
 from .sampling import draw_complex, draw_model, draw_spectral
-
-SUITE_NAMES = (
-    "dybe", "ice", "unitarity", "hexagon", "commut", "cbb", "nilpotency",
-    "functional", "zeroes", "symmetry", "degree", "asymptotic", "ode",
-    "contour",
-)
-
-THRESHOLDS = {
-    "dybe": 1e-12,
-    "ice": 1e-14,
-    "unitarity": 1e-13,
-    "hexagon": 1e-12,
-    "commut": 1e-11,
-    "cbb": 1e-10,
-    "nilpotency": 1e-11,
-    "functional": 1e-9,
-    "zeroes": 1e-9,
-    "symmetry": 1e-11,
-    "degree": 0.5,
-    "asymptotic": 1e-8,
-    "ode": 1e-12,
-    "contour": 1e-8,
-}
 
 _MAX_REJECT = 2000
 
@@ -108,14 +86,23 @@ def _where(params) -> str:
     return f"gamma={_c(params.gamma)} theta={_c(params.theta)}"
 
 
-def _row(label, residual, threshold, detail) -> CheckRow:
-    residual = float(residual)
-    return CheckRow(label=label, residual=residual, threshold=threshold,
-                    passed=residual < threshold, detail=detail)
+def _where_lams(params, lams) -> str:
+    """Reproduce detail of a draw of inhomogeneities and spectral values."""
+    return f"{_where(params)} mu={_cs(params.mu)} lambdas={_cs(lams)}"
 
 
-def _theta_window_ok(gamma, theta, lo, hi, floor) -> bool:
-    return all(abs(s(theta + n * gamma)) > floor for n in range(lo, hi + 1))
+def _gaps_clear(pts, floor) -> bool:
+    return all(abs(s(a - b)) > floor for a, b in combinations(pts, 2))
+
+
+def _theta_window_ok(params, lo, hi, floor=1e-3) -> bool:
+    return all(abs(s(params.theta + n * params.gamma)) > floor
+               for n in range(lo, hi + 1))
+
+
+def _clear(params, lo, hi) -> bool:
+    """gamma and every theta + n*gamma, n in lo..hi, clear of sinh zeros."""
+    return abs(s(params.gamma)) > 1e-3 and _theta_window_ok(params, lo, hi)
 
 
 def _draw_params(rng, L, pred=None):
@@ -137,367 +124,234 @@ def _draw_separated(rng, count, floor, avoid=()):
     """Draw spectral values whose pairwise sinh gaps clear the floor."""
     for _ in range(_MAX_REJECT):
         lams = draw_spectral(rng, count)
-        pts = list(avoid) + list(lams)
-        ok = True
-        for a in range(len(pts)):
-            for b in range(a + 1, len(pts)):
-                if abs(s(pts[a] - pts[b])) <= floor:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if _gaps_clear(tuple(avoid) + lams, floor):
             return lams
     raise RuntimeError("spectral separation draw never satisfied")
 
 
-def _mu_gaps_ok(params, floor=1e-3) -> bool:
-    mu = params.mu
-    for a in range(len(mu)):
-        for b in range(a + 1, len(mu)):
-            if abs(s(mu[a] - mu[b])) <= floor:
-                return False
-    return True
-
-
 def _generic_closed_form(params) -> bool:
     """Draw region of the closed-form suites: clear of every denominator."""
-    return (abs(s(params.gamma)) > 1e-3
-            and _theta_window_ok(params.gamma, params.theta, 0,
-                                 2 * params.L + 2, 1e-3)
-            and _mu_gaps_ok(params))
-
-
-def _suite_dybe(rng, draws):
-    rows = []
-    for k in range(draws):
-        params = _draw_params(
-            rng, 1,
-            pred=lambda p: abs(s(p.gamma)) > 1e-3
-            and _theta_window_ok(p.gamma, p.theta, -2, 2, 1e-3),
-        )
-        l1, l2, l3 = draw_spectral(rng, 3)
-        res = rmatrix.dybe_relative_residual(l1, l2, l3, params.theta, params)
-        rows.append(_row(
-            f"{k + 1:03d}", res, THRESHOLDS["dybe"],
-            f"{_where(params)} l1={_c(l1)} l2={_c(l2)} l3={_c(l3)}",
-        ))
-    return rows
-
-
-def _suite_ice(rng, draws):
-    rows = []
-    for k in range(draws):
-        params = _draw_params(
-            rng, 1, pred=lambda p: abs(s(p.theta)) > 1e-3
-        )
-        lam = draw_complex(rng)
-        r = rmatrix.r_matrix(lam, params.theta, params).entries
-        scale = float(np.abs(r).max())
-        res = rmatrix.ice_residual(lam, params.theta, params) / scale
-        rows.append(_row(
-            f"{k + 1:03d}", res, THRESHOLDS["ice"],
-            f"{_where(params)} lam={_c(lam)}",
-        ))
-    return rows
-
-
-def _suite_unitarity(rng, draws):
-    rows = []
-    for k in range(draws):
-        params = _draw_params(
-            rng, 1, pred=lambda p: abs(s(p.theta)) > 1e-3
-        )
-
-        for _ in range(_MAX_REJECT):
-            lam = draw_complex(rng)
-            if (abs(s(params.gamma + lam)) > 1e-3
-                    and abs(s(params.gamma - lam)) > 1e-3):
-                break
-        else:
-            raise RuntimeError("no admissible spectral draw found")
-        r1 = rmatrix.r_matrix(lam, params.theta, params).entries
-        r2 = rmatrix.r_matrix(-lam, params.theta, params).entries
-        prod = r1 @ rmatrix.SWAP @ r2 @ rmatrix.SWAP
-        scalar = s(params.gamma + lam) * s(params.gamma - lam)
-        target = scalar * np.eye(4, dtype=complex)
-        scale = max(float(np.abs(prod).max()), abs(scalar))
-        res = float(np.abs(prod - target).max()) / scale
-        rows.append(_row(
-            f"{k + 1:03d}", res, THRESHOLDS["unitarity"],
-            f"{_where(params)} lam={_c(lam)}",
-        ))
-    return rows
-
-
-def _suite_hexagon(rng, draws):
-    steps_pool = [1, 1, 1, -1, -1, -1]
-    rows = []
-    for k in range(draws):
-        params = _draw_params(
-            rng, 1,
-            pred=lambda p: abs(s(p.gamma)) > 1e-3
-            and _theta_window_ok(p.gamma, p.theta, -4, 4, 1e-3),
-        )
-        base = rng.randrange(-1, 2)
-        steps = list(steps_pool)
-        rng.shuffle(steps)
-        ks = [base]
-        for st in steps[:5]:
-            ks.append(ks[-1] + st)
-        u = draw_complex(rng)
-        v = draw_complex(rng)
-        res = face_model.hexagon_relative_residual(u, v, ks, params)
-        rows.append(_row(
-            f"{k + 1:03d}", res, THRESHOLDS["hexagon"],
-            f"{_where(params)} u={_c(u)} v={_c(v)} ks={ks}",
-        ))
-    return rows
+    return (_clear(params, 0, 2 * params.L + 2)
+            and _gaps_clear(params.mu, 1e-3))
 
 
 def _cartan_floor_ok(params, floor=1e-2) -> bool:
     q = cmath.exp(params.gamma)
     t = cmath.exp(params.theta)
-    for h in range(-params.L, params.L + 1, 2):
-        if abs(t * q ** (2 - h) - q ** (h - 2) / t) < floor:
-            return False
-    return True
-
-
-def _suite_commut(rng, draws):
-    rows = []
-    for k in range(draws):
-        L = 2 + (k % 2)
-        params = _draw_params(
-            rng, L,
-            pred=lambda p: abs(s(p.gamma)) > 1e-3
-            and _theta_window_ok(p.gamma, p.theta, -p.L - 2, 2 * p.L + 3,
-                                 1e-3)
-            and _cartan_floor_ok(p),
-        )
-        l1, l2 = _draw_separated(rng, 2, 1e-2)
-        resmap = yb_algebra.commutation_residuals(l1, l2, params.theta,
-                                                  params)
-        worst = max(resmap, key=lambda key: resmap[key])
-        rows.append(_row(
-            f"{k + 1:03d} L={L} {worst}", resmap[worst],
-            THRESHOLDS["commut"],
-            f"{_where(params)} mu={_cs(params.mu)} l1={_c(l1)} l2={_c(l2)}",
-        ))
-    return rows
-
-
-def _suite_cbb(rng, draws):
-    combos = ((1, 2), (2, 2), (2, 3), (3, 3))
-    rows = []
-    for k in range(draws):
-        n, L = combos[k % 4]
-        params = _draw_params(
-            rng, L,
-            pred=lambda p: abs(s(p.gamma)) > 1e-3
-            and _theta_window_ok(p.gamma, p.theta, -p.L - 1, 2 * p.L + 2,
-                                 1e-3),
-        )
-        lams = _draw_separated(rng, n + 1, 1e-2)
-        res = yb_algebra.cbb_residual(n, lams, params.theta, params)
-        rows.append(_row(
-            f"{k + 1:03d} n={n} L={L}", res, THRESHOLDS["cbb"],
-            f"{_where(params)} mu={_cs(params.mu)} lambdas={_cs(lams)}",
-        ))
-    return rows
-
-
-def _suite_nilpotency(rng, draws):
-    rows = []
-    for k in range(draws):
-        L = 1 + (k % 3)
-        params = _draw_params(
-            rng, L,
-            pred=lambda p: _theta_window_ok(p.gamma, p.theta, -p.L - 1,
-                                            2 * p.L + 2, 1e-6),
-        )
-        lams = draw_spectral(rng, L + 1)
-        res = yb_algebra.nilpotency_norm(params, lams)
-        rows.append(_row(
-            f"{k + 1:03d} L={L}", res, THRESHOLDS["nilpotency"],
-            f"{_where(params)} mu={_cs(params.mu)} lambdas={_cs(lams)}",
-        ))
-    return rows
-
-
-def _suite_functional(rng, draws):
-    rows = []
-    for k in range(draws):
-        L = 1 + (k % 4)
-        params = _draw_params(
-            rng, L,
-            pred=_generic_closed_form,
-        )
-        lams = _draw_separated(rng, L + 2, 1e-2)
-        res = closed_form.functional_equation_residual(params, lams)
-        rows.append(_row(
-            f"{k + 1:03d} L={L}", res, THRESHOLDS["functional"],
-            f"{_where(params)} mu={_cs(params.mu)} lambdas={_cs(lams)}",
-        ))
-    return rows
-
-
-def _suite_zeroes(rng, draws):
-    rows = []
-    for k in range(draws):
-        L = 2 + (k % 3)
-        params = _draw_params(
-            rng, L,
-            pred=_generic_closed_form,
-        )
-        pins = (params.mu[0], params.mu[0] - params.gamma)
-        free = _draw_separated(rng, L - 2, 1e-2, avoid=pins)
-        lams = pins + tuple(free)
-        res = closed_form.special_zero_residual(params, lams)
-        rows.append(_row(
-            f"{k + 1:03d} L={L}", res, THRESHOLDS["zeroes"],
-            f"{_where(params)} mu={_cs(params.mu)} lambdas={_cs(lams)}",
-        ))
-    return rows
-
-
-def _suite_symmetry(rng, draws):
-    rows = []
-    for k in range(draws):
-        L = 2 + (k % 3)
-        params = _draw_params(
-            rng, L,
-            pred=_generic_closed_form,
-        )
-        for _ in range(_MAX_REJECT):
-            lams = _draw_separated(rng, L, 1e-2)
-            if closed_form.permutation_condition(params, lams) < 1e3:
-                break
-        else:
-            raise RuntimeError("no well-conditioned draw found")
-        i = rng.randrange(L)
-        j = (i + 1 + rng.randrange(L - 1)) % L
-        res_l = closed_form.symmetry_residual(params, lams, i, j)
-        res_m = closed_form.mu_symmetry_residual(params, lams, i, j)
-        rows.append(_row(
-            f"{k + 1:03d} L={L} swap=({i},{j})", max(res_l, res_m),
-            THRESHOLDS["symmetry"],
-            f"{_where(params)} mu={_cs(params.mu)} lambdas={_cs(lams)}",
-        ))
-    return rows
-
-
-def _suite_degree(rng, draws):
-    rows = []
-    for k in range(draws):
-        L = 1 + (k % 4)
-        params = _draw_params(
-            rng, L,
-            pred=_generic_closed_form,
-        )
-        which = rng.randrange(L)
-        d = closed_form.degree_probe(params, which)
-        rows.append(_row(
-            f"{k + 1:03d} L={L} var={which} deg={d}", float(abs(d - L)),
-            THRESHOLDS["degree"],
-            f"{_where(params)} mu={_cs(params.mu)}",
-        ))
-    return rows
+    return all(abs(t * q ** (2 - h) - q ** (h - 2) / t) >= floor
+               for h in range(-params.L, params.L + 1, 2))
 
 
 def _qt_floor_ok(params, floor=1e-3) -> bool:
     q = cmath.exp(params.gamma)
     t = cmath.exp(params.theta)
-    for n in range(1, params.L + 1):
-        if abs(1 - q ** (2 * n) * t ** 2) < floor:
-            return False
-    return True
+    return all(abs(1 - q ** (2 * n) * t ** 2) >= floor
+               for n in range(1, params.L + 1))
 
 
-def _suite_asymptotic(rng, draws):
-    rows = []
-    for k in range(draws):
-        L = 1 + (k % 3)
-        params = _draw_params(
-            rng, L,
-            pred=lambda p: _generic_closed_form(p) and _qt_floor_ok(p),
-        )
-        expect = closed_form.asymptotic_leading_coefficient(params)
-        got = closed_form.leading_coefficient_interpolated(params)
-        res = abs(got - expect) / abs(expect)
-        rows.append(_row(
-            f"{k + 1:03d} L={L}", res, THRESHOLDS["asymptotic"],
-            f"{_where(params)} mu={_cs(params.mu)}",
-        ))
-    return rows
+# Each check draws the k-th (0-based) parameter set of a suite run and
+# returns (label suffix, residual, reproduce detail).
 
 
-def _suite_ode(rng, draws):
-    rows = []
-    for k in range(draws):
-        params = _draw_params(
-            rng, 1,
-            pred=lambda p: abs(s(p.gamma)) > 1e-3
-            and _theta_window_ok(p.gamma, p.theta, 0, 4, 1e-3)
-            and _qt_floor_ok(p),
-        )
+def _check_dybe(rng, k):
+    params = _draw_params(rng, 1, pred=lambda p: _clear(p, -2, 2))
+    l1, l2, l3 = draw_spectral(rng, 3)
+    return ("", rmatrix.dybe_residual(l1, l2, l3, params.theta, params),
+            f"{_where(params)} l1={_c(l1)} l2={_c(l2)} l3={_c(l3)}")
+
+
+def _check_ice(rng, k):
+    params = _draw_params(rng, 1, pred=lambda p: abs(s(p.theta)) > 1e-3)
+    lam = draw_complex(rng)
+    return ("", rmatrix.ice_residual(lam, params.theta, params),
+            f"{_where(params)} lam={_c(lam)}")
+
+
+def _check_unitarity(rng, k):
+    params = _draw_params(rng, 1, pred=lambda p: abs(s(p.theta)) > 1e-3)
+    for _ in range(_MAX_REJECT):
         lam = draw_complex(rng)
-        x = cmath.exp(2 * lam)
-        res = closed_form.ode_residual_L1(x, params)
-        rows.append(_row(
-            f"{k + 1:03d}", res, THRESHOLDS["ode"],
-            f"{_where(params)} mu={_cs(params.mu)} lam={_c(lam)}",
-        ))
-    return rows
+        if (abs(s(params.gamma + lam)) > 1e-3
+                and abs(s(params.gamma - lam)) > 1e-3):
+            break
+    else:
+        raise RuntimeError("no admissible spectral draw found")
+    return ("", rmatrix.unitarity_residual(lam, params.theta, params),
+            f"{_where(params)} lam={_c(lam)}")
 
 
-def _suite_contour(rng, draws):
-    rows = []
-    for k in range(draws):
-        L = 1 + (k % 3)
-
-        def spread_ok(p, lams):
-            center = sum(lams) / len(lams)
-            return max(abs(z - center) for z in lams) < 1.2
-
-        params, lams = draw_model(
-            rng, L, routes=("residue", "quadrature"), predicate=spread_ok
-        )
-        ref = contour.partition_residue(params, lams)
-        quad = contour.partition_quadrature(params, lams)
-        res = abs(quad - ref) / max(abs(quad), abs(ref))
-        rows.append(_row(
-            f"{k + 1:03d} L={L}", res, THRESHOLDS["contour"],
-            f"{_where(params)} mu={_cs(params.mu)} lambdas={_cs(lams)}",
-        ))
-    return rows
+def _check_hexagon(rng, k):
+    params = _draw_params(rng, 1, pred=lambda p: _clear(p, -4, 4))
+    base = rng.randrange(-1, 2)
+    steps = [1, 1, 1, -1, -1, -1]
+    rng.shuffle(steps)
+    ks = list(accumulate(steps[:5], initial=base))
+    u = draw_complex(rng)
+    v = draw_complex(rng)
+    return ("", face_model.hexagon_residual(u, v, ks, params),
+            f"{_where(params)} u={_c(u)} v={_c(v)} ks={ks}")
 
 
-_SUITES = {
-    "dybe": _suite_dybe,
-    "ice": _suite_ice,
-    "unitarity": _suite_unitarity,
-    "hexagon": _suite_hexagon,
-    "commut": _suite_commut,
-    "cbb": _suite_cbb,
-    "nilpotency": _suite_nilpotency,
-    "functional": _suite_functional,
-    "zeroes": _suite_zeroes,
-    "symmetry": _suite_symmetry,
-    "degree": _suite_degree,
-    "asymptotic": _suite_asymptotic,
-    "ode": _suite_ode,
-    "contour": _suite_contour,
+def _check_commut(rng, k):
+    L = 2 + (k % 2)
+    params = _draw_params(
+        rng, L,
+        pred=lambda p: _clear(p, -p.L - 2, 2 * p.L + 3) and _cartan_floor_ok(p),
+    )
+    l1, l2 = _draw_separated(rng, 2, 1e-2)
+    resmap = yb_algebra.commutation_residuals(l1, l2, params.theta, params)
+    worst = max(resmap, key=lambda key: resmap[key])
+    return (f" L={L} {worst}", resmap[worst],
+            f"{_where(params)} mu={_cs(params.mu)} l1={_c(l1)} l2={_c(l2)}")
+
+
+def _check_cbb(rng, k):
+    n, L = ((1, 2), (2, 2), (2, 3), (3, 3))[k % 4]
+    params = _draw_params(rng, L,
+                          pred=lambda p: _clear(p, -p.L - 1, 2 * p.L + 2))
+    lams = _draw_separated(rng, n + 1, 1e-2)
+    return (f" n={n} L={L}",
+            yb_algebra.cbb_residual(n, lams, params.theta, params),
+            _where_lams(params, lams))
+
+
+def _check_nilpotency(rng, k):
+    L = 1 + (k % 3)
+    params = _draw_params(
+        rng, L, pred=lambda p: _theta_window_ok(p, -p.L - 1, 2 * p.L + 2, 1e-6)
+    )
+    lams = draw_spectral(rng, L + 1)
+    return (f" L={L}", yb_algebra.nilpotency_norm(params, lams),
+            _where_lams(params, lams))
+
+
+def _check_functional(rng, k):
+    L = 1 + (k % 4)
+    params = _draw_params(rng, L, pred=_generic_closed_form)
+    lams = _draw_separated(rng, L + 2, 1e-2)
+    return (f" L={L}", closed_form.functional_equation_residual(params, lams),
+            _where_lams(params, lams))
+
+
+def _check_zeroes(rng, k):
+    L = 2 + (k % 3)
+    # The pins mu_1 and mu_1 - gamma sit |sinh gamma| apart, so gamma must
+    # clear the separation floor the free values are held to.
+    params = _draw_params(
+        rng, L,
+        pred=lambda p: _generic_closed_form(p) and abs(s(p.gamma)) > 1e-2,
+    )
+    pins = (params.mu[0], params.mu[0] - params.gamma)
+    lams = pins + _draw_separated(rng, L - 2, 1e-2, avoid=pins)
+    return (f" L={L}", closed_form.special_zero_residual(params, lams),
+            _where_lams(params, lams))
+
+
+def _check_symmetry(rng, k):
+    L = 2 + (k % 3)
+    params = _draw_params(rng, L, pred=_generic_closed_form)
+    for _ in range(_MAX_REJECT):
+        lams = _draw_separated(rng, L, 1e-2)
+        if closed_form.permutation_condition(params, lams) < 1e3:
+            break
+    else:
+        raise RuntimeError("no well-conditioned draw found")
+    i = rng.randrange(L)
+    j = (i + 1 + rng.randrange(L - 1)) % L
+    res_l = closed_form.symmetry_residual(params, lams, i, j)
+    res_m = closed_form.mu_symmetry_residual(params, lams, i, j)
+    return (f" L={L} swap=({i},{j})", max(res_l, res_m),
+            _where_lams(params, lams))
+
+
+def _check_degree(rng, k):
+    L = 1 + (k % 4)
+    params = _draw_params(rng, L, pred=_generic_closed_form)
+    which = rng.randrange(L)
+    d = closed_form.degree_probe(params, which)
+    return (f" L={L} var={which} deg={d}", abs(d - L),
+            f"{_where(params)} mu={_cs(params.mu)}")
+
+
+def _check_asymptotic(rng, k):
+    L = 1 + (k % 3)
+    params = _draw_params(
+        rng, L, pred=lambda p: _generic_closed_form(p) and _qt_floor_ok(p)
+    )
+    expect = closed_form.asymptotic_leading_coefficient(params)
+    got = closed_form.leading_coefficient_interpolated(params)
+    return (f" L={L}", abs(got - expect) / abs(expect),
+            f"{_where(params)} mu={_cs(params.mu)}")
+
+
+def _check_ode(rng, k):
+    params = _draw_params(
+        rng, 1, pred=lambda p: _clear(p, 0, 4) and _qt_floor_ok(p)
+    )
+    lam = draw_complex(rng)
+    return ("", closed_form.ode_residual_L1(cmath.exp(2 * lam), params),
+            f"{_where(params)} mu={_cs(params.mu)} lam={_c(lam)}")
+
+
+def _spread_ok(params, lams) -> bool:
+    center = sum(lams) / len(lams)
+    return max(abs(z - center) for z in lams) < 1.2
+
+
+def _check_contour(rng, k):
+    L = 1 + (k % 3)
+    params, lams = draw_model(rng, L, routes=("residue", "quadrature"),
+                              predicate=_spread_ok)
+    ref = contour.partition_residue(params, lams)
+    quad = contour.partition_quadrature(params, lams)
+    return (f" L={L}", abs(quad - ref) / max(abs(quad), abs(ref)),
+            _where_lams(params, lams))
+
+
+@dataclass(frozen=True)
+class Suite:
+    """One identity family: its per-draw check and its pass threshold."""
+
+    check: Callable
+    threshold: float
+
+
+SUITES = {
+    "dybe": Suite(_check_dybe, 1e-12),
+    "ice": Suite(_check_ice, 1e-14),
+    "unitarity": Suite(_check_unitarity, 1e-13),
+    "hexagon": Suite(_check_hexagon, 1e-12),
+    "commut": Suite(_check_commut, 1e-11),
+    "cbb": Suite(_check_cbb, 1e-10),
+    "nilpotency": Suite(_check_nilpotency, 1e-11),
+    "functional": Suite(_check_functional, 1e-9),
+    "zeroes": Suite(_check_zeroes, 1e-9),
+    "symmetry": Suite(_check_symmetry, 1e-11),
+    "degree": Suite(_check_degree, 0.5),
+    "asymptotic": Suite(_check_asymptotic, 1e-8),
+    "ode": Suite(_check_ode, 1e-12),
+    "contour": Suite(_check_contour, 1e-8),
 }
+
+SUITE_NAMES = tuple(SUITES)
+THRESHOLDS = {name: suite.threshold for name, suite in SUITES.items()}
 
 
 def run_suite(name: str, seed: int, draws: int) -> SuiteReport:
     """Run one named suite with a fresh seeded generator."""
-    if name not in _SUITES:
-        raise ValueError(f"unknown suite {name!r}; expected one of "
-                         f"{SUITE_NAMES}")
+    if name not in SUITES:
+        raise ValidationError(f"unknown suite {name!r}; expected one of "
+                              f"{SUITE_NAMES}")
     if draws < 1:
-        raise ValueError("draw count must be positive")
+        raise ValidationError("draw count must be positive")
+    suite = SUITES[name]
     rng = random.Random(seed)
-    rows = tuple(_SUITES[name](rng, draws))
-    return SuiteReport(suite=name, seed=seed, draws=draws, rows=rows)
+    rows = []
+    for k in range(draws):
+        suffix, residual, detail = suite.check(rng, k)
+        residual = float(residual)
+        rows.append(CheckRow(label=f"{k + 1:03d}{suffix}", residual=residual,
+                             threshold=suite.threshold,
+                             passed=residual < suite.threshold,
+                             detail=detail))
+    return SuiteReport(suite=name, seed=seed, draws=draws, rows=tuple(rows))

@@ -15,8 +15,6 @@ reference state and the index 2^L - 1 state is the all-down one.
 from __future__ import annotations
 
 import cmath
-import random
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +24,6 @@ from .core import (
     BadLength,
     CoincidentSpectral,
     ModelParams,
-    NumericalError,
     TooLarge,
     ValidationError,
     check_size,
@@ -94,32 +91,16 @@ def apply_monodromy_entry(which: str, lam: complex, theta: complex,
     return out
 
 
-class QuantumOperator:
-    """A linear map on the 2^L quantum space, applied by propagation."""
-
-    def __init__(self, dimension: int, apply_fn):
-        self.dimension = dimension
-        self._apply = apply_fn
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        return self._apply(np.asarray(vec, dtype=complex))
-
-    def to_matrix(self) -> np.ndarray:
-        m = np.zeros((self.dimension, self.dimension), dtype=complex)
-        for b in range(self.dimension):
-            e = np.zeros(self.dimension, dtype=complex)
-            e[b] = 1.0
-            m[:, b] = self._apply(e)
-        return m
-
-
 def monodromy_entry(which: str, lam: complex, theta: complex,
-                    params: ModelParams) -> QuantumOperator:
-    """One of the four row-operator entries as a reusable operator."""
-    return QuantumOperator(
-        1 << params.L,
-        lambda vec: apply_monodromy_entry(which, lam, theta, params, vec),
-    )
+                    params: ModelParams) -> np.ndarray:
+    """One of the four row-operator entries as a dense 2^L x 2^L matrix."""
+    dim = 1 << params.L
+    m = np.zeros((dim, dim), dtype=complex)
+    for b in range(dim):
+        e = np.zeros(dim, dtype=complex)
+        e[b] = 1.0
+        m[:, b] = apply_monodromy_entry(which, lam, theta, params, e)
+    return m
 
 
 def vacuum_states(L: int):
@@ -170,74 +151,17 @@ def creation_string(params: ModelParams, lambdas, theta: complex,
     return v
 
 
-def partition_algebraic(params: ModelParams, lambdas,
-                        offset_base: int = 1) -> complex:
+def partition_algebraic(params: ModelParams, lambdas) -> complex:
     """Partition function as the all-down component of a creation string.
 
-    The j-th factor (1-based) carries dynamical argument theta + j*gamma
-    under the default convention ``offset_base=1``; ``offset_base=0`` selects
-    the alternative ladder starting at theta, kept for the one-time
-    convention reconciliation against the face oracle.
+    The j-th factor (1-based) carries dynamical argument theta + j*gamma.
     """
     L = params.L
     check_size(params, "algebra")
     sv = validate(params, lambdas, "algebra")
-    offsets = [j + offset_base for j in range(L)]
-    v = creation_string(params, sv.lambdas, params.theta, offsets)
+    v = creation_string(params, sv.lambdas, params.theta,
+                        list(range(1, L + 1)))
     return complex(v[-1])
-
-
-@dataclass(frozen=True)
-class OffsetReconciliation:
-    """Outcome of matching the creation-ladder convention to the face oracle."""
-
-    offset_base: int
-    ratio: complex
-    ratio_spread: float
-    rejected_spread: float
-
-
-def reconcile_offset_convention(seed: int = 0, draws: int = 10,
-                                tol: float = 1e-10) -> OffsetReconciliation:
-    """Fix the creation-ladder offset convention against the face oracle.
-
-    Draws random validated parameter sets at L = 1 and L = 2, computes the
-    ratio of the algebraic value to the enumerated value under both offset
-    conventions, and accepts the convention whose ratio is constant across
-    draws to within ``tol``.  The accepted constant and both spreads are
-    returned.
-    """
-    from .face_model import enumerate_partition
-    from .sampling import draw_model
-
-    rng = random.Random(seed)
-    ratios = {0: [], 1: []}
-    for _ in range(draws):
-        for L in (1, 2):
-            params, lams = draw_model(rng, L, routes=("face", "algebra"))
-            face = enumerate_partition(params, lams)
-            for base in (0, 1):
-                ratios[base].append(
-                    partition_algebraic(params, lams, offset_base=base) / face
-                )
-
-    def spread(vals):
-        mean = sum(vals) / len(vals)
-        return max(abs(v - mean) for v in vals) / max(abs(mean), 1e-300)
-
-    spreads = {base: spread(vals) for base, vals in ratios.items()}
-    chosen = min(spreads, key=lambda base: spreads[base])
-    if spreads[chosen] > tol:
-        raise NumericalError(
-            f"no offset convention gives a constant ratio; spreads {spreads}"
-        )
-    mean = sum(ratios[chosen]) / len(ratios[chosen])
-    return OffsetReconciliation(
-        offset_base=chosen,
-        ratio=mean,
-        ratio_spread=spreads[chosen],
-        rejected_spread=spreads[1 - chosen],
-    )
 
 
 def _rel(lhs: np.ndarray, rhs: np.ndarray) -> float:
@@ -264,7 +188,7 @@ def commutation_residuals(l1: complex, l2: complex, theta: complex,
     kvec = q ** cartan_h(L)
 
     def mat(which, lam, th):
-        return monodromy_entry(which, lam, th, params).to_matrix()
+        return monodromy_entry(which, lam, th, params)
 
     def kcomb(c_inv, c_dir):
         return c_inv / kvec + c_dir * kvec
@@ -398,9 +322,8 @@ def nilpotency_norm(params: ModelParams, lambdas) -> float:
     v = creation_string(params, lam, params.theta, list(range(L + 1)))
     scale = 1.0
     for j in range(L + 1):
-        m = monodromy_entry(
-            "B", lam[j], params.theta + j * params.gamma, params
-        ).to_matrix()
+        m = monodromy_entry("B", lam[j], params.theta + j * params.gamma,
+                            params)
         scale *= float(np.abs(m).max())
     if scale == 0.0:
         return float(np.linalg.norm(v))

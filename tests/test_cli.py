@@ -204,6 +204,13 @@ class TestVerifyCommand:
             main(["verify", "--suite", "nonsense"])
         capsys.readouterr()
 
+    def test_verify_exit_2_on_nonpositive_draws(self, capsys):
+        code = main(["verify", "--suite", "dybe", "--draws", "0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"]["type"] == "ValidationError"
+
 
 class TestBenchCommand:
     def test_bench_csv_output(self, tmp_path, capsys):

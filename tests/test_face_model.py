@@ -19,9 +19,7 @@ from sosdw.face_model import (
     enumerate_partition,
     face_cap,
     face_weight,
-    hexagon_relative_residual,
     hexagon_residual,
-    hexagon_sides,
 )
 from sosdw.rmatrix import weights
 from sosdw.sampling import draw_model
@@ -179,7 +177,7 @@ class TestHexagonIdentity:
     def test_known_boundaries(self):
         u, v = 0.23 - 0.11j, -0.37 + 0.19j
         for ks in ([0, 1, 2, 1, 0, -1], [1, 0, 1, 2, 1, 0]):
-            assert hexagon_relative_residual(u, v, ks, self.P) < 1e-12
+            assert hexagon_residual(u, v, ks, self.P) < 1e-12
 
     def test_random_boundaries(self, rng):
         for _ in range(60):
@@ -191,23 +189,17 @@ class TestHexagonIdentity:
                     break
             u = complex(rng.uniform(-1, 1), rng.uniform(-0.6, 0.6))
             v = complex(rng.uniform(-1, 1), rng.uniform(-0.6, 0.6))
-            assert hexagon_relative_residual(u, v, ks, self.P) < 1e-12
-
-    def test_absolute_and_relative_agree_on_scale(self):
-        u, v = 0.23 - 0.11j, -0.37 + 0.19j
-        ks = [0, 1, 2, 1, 0, -1]
-        lhs, rhs = hexagon_sides(u, v, ks, self.P)
-        assert hexagon_residual(u, v, ks, self.P) == abs(lhs - rhs)
+            assert hexagon_residual(u, v, ks, self.P) < 1e-12
 
     def test_degenerate_spectral_point(self):
         # at u = 0 one side collapses onto identity-like exchange cells
-        assert hexagon_relative_residual(
+        assert hexagon_residual(
             0.0, -0.37 + 0.19j, [0, 1, 2, 1, 0, -1], self.P) < 1e-12
 
     def test_bad_boundary_rejected(self):
         with pytest.raises(InvalidBoundary):
-            hexagon_sides(0.1, 0.2, [0, 2, 1, 0, 1, 0], self.P)
+            hexagon_residual(0.1, 0.2, [0, 2, 1, 0, 1, 0], self.P)
 
     def test_non_cyclic_boundary_rejected(self):
         with pytest.raises(InvalidBoundary):
-            hexagon_sides(0.1, 0.2, [0, 1, 2, 3, 2, 2], self.P)
+            hexagon_residual(0.1, 0.2, [0, 1, 2, 3, 2, 2], self.P)

@@ -51,16 +51,22 @@ def test_nonpositive_draws_rejected():
         run_suite("dybe", seed=0, draws=0)
 
 
-@pytest.mark.parametrize("name", EXPECTED_SUITES)
-def test_every_suite_passes_smoke(name):
-    rep = run_suite(name, seed=7, draws=3)
+# zeroes at seed 203002 draws |sinh gamma| = 0.0097, below the separation
+# floor of the pinned pair mu_1, mu_1 - gamma; the draw must reject it.
+SMOKE_RUNS = [pytest.param(name, 7, 3, id=name) for name in EXPECTED_SUITES]
+SMOKE_RUNS.append(pytest.param("zeroes", 203002, 20, id="zeroes-203002"))
+
+
+@pytest.mark.parametrize("name, seed, draws", SMOKE_RUNS)
+def test_every_suite_passes_smoke(name, seed, draws):
+    rep = run_suite(name, seed=seed, draws=draws)
     assert rep.suite == name
-    assert rep.seed == 7
-    assert rep.draws == 3
-    assert len(rep.rows) == 3
+    assert rep.seed == seed
+    assert rep.draws == draws
+    assert len(rep.rows) == draws
     assert all(isinstance(r, CheckRow) for r in rep.rows)
     assert rep.passed, rep.render()
-    assert rep.n_passed == 3
+    assert rep.n_passed == draws
     for row in rep.rows:
         assert row.threshold == EXPECTED_THRESHOLDS[name]
         assert row.residual < row.threshold

@@ -22,7 +22,6 @@ from sosdw.yb_algebra import (
     monodromy_entry,
     nilpotency_norm,
     partition_algebraic,
-    reconcile_offset_convention,
     su2_generators,
     vacuum_states,
 )
@@ -67,12 +66,12 @@ class TestMonodromy:
                               ("B", [[0, 0], [w.c_plus, 0]]),
                               ("C", [[0, w.c_minus], [0, 0]]),
                               ("D", [[w.b_minus, 0], [0, w.a_minus]])):
-            got = monodromy_entry(which, lam, th, p1).to_matrix()
+            got = monodromy_entry(which, lam, th, p1)
             assert np.allclose(got, np.array(expect), atol=1e-15), which
 
     def test_invalid_entry_name(self):
         with pytest.raises(Exception):
-            monodromy_entry("E", 0.1, 0.2, P2).to_matrix()
+            monodromy_entry("E", 0.1, 0.2, P2)
 
     def test_creation_conserves_spin_sector(self):
         v = creation_string(P2, (0.41 + 0.05j, 0.18 - 0.27j),
@@ -106,13 +105,6 @@ class TestAlgebraicPartition:
         with pytest.raises(TooLarge):
             partition_algebraic(params, tuple(0.03 * k + 0.1j
                                               for k in range(11)))
-
-    def test_offset_reconciliation(self):
-        rec = reconcile_offset_convention(seed=11, draws=10)
-        assert rec.offset_base == 1
-        assert abs(rec.ratio - 1.0) < 1e-10
-        assert rec.ratio_spread < 1e-10
-        assert rec.rejected_spread > 1e-3
 
 
 class TestExchangeRelations:
