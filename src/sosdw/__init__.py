@@ -32,7 +32,6 @@ from .core import (
     ModelParams,
     NumericalError,
     ROUTES,
-    SpectralVector,
     ValidationError,
     validate,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "NumericalError",
     "ROUTES",
     "SUITE_NAMES",
-    "SpectralVector",
     "ValidationError",
     "asymptotic_leading_coefficient",
     "auto_contour",

@@ -27,6 +27,7 @@ from .core import (
     NumericalError,
     SingularTheta,
     check_size,
+    close_pair,
     pairwise_sum,
     s,
     validate,
@@ -142,6 +143,24 @@ def coeff_N(j: int, i: int, lambdas, theta: complex, params: ModelParams,
             + _coeff_N_half(i, j, lam, theta, params, n))
 
 
+def exchange_terms(lam, theta: complex, params: ModelParams, n: int):
+    """The exchange relation's terms as (coefficient, spectral arguments).
+
+    ``lam`` holds (lambda_0, ..., lambda_n).  The n terms M_i come first,
+    each on lambda_1..lambda_n without lambda_i; then N_ji for j = 2..n and
+    i < j, each on lambda_0 followed by lambda_1..lambda_n without lambda_i
+    and lambda_j.
+    """
+    rest = range(1, n + 1)
+    for i in rest:
+        yield (coeff_M(i, lam, theta, params, n),
+               tuple(lam[k] for k in rest if k != i))
+    for j in range(2, n + 1):
+        for i in range(1, j):
+            yield (coeff_N(j, i, lam, theta, params, n),
+                   (lam[0],) + tuple(lam[k] for k in rest if k not in (i, j)))
+
+
 def normalization_constant(params: ModelParams) -> complex:
     """Overall constant produced by the recursive peeling of one row."""
     g = params.gamma
@@ -167,7 +186,7 @@ def _permutation_terms(params: ModelParams, lambdas) -> list:
     """
     L = params.L
     check_size(params, "permutation")
-    lams = validate(params, lambdas, "permutation").lambdas
+    lams = validate(params, lambdas, "permutation")
     g = params.gamma
     th = params.theta
     mu = params.mu
@@ -234,29 +253,16 @@ def functional_equation_residual(params: ModelParams, lambdas,
     The residual is |sum of terms| / max |term|.
     """
     L = params.L
-    n = L + 1
     if len(lambdas) != L + 2:
         raise BadLength(f"expected {L + 2} spectral values, got {len(lambdas)}")
     lam = [complex(z) for z in lambdas]
-    for a in range(len(lam)):
-        for b in range(a + 1, len(lam)):
-            if abs(s(lam[a] - lam[b])) <= EPS_SEP:
-                raise CoincidentSpectral(
-                    f"functional equation arguments {a} and {b} coincide"
-                )
+    if (pair := close_pair(lam, EPS_SEP)) is not None:
+        raise CoincidentSpectral(
+            f"functional equation arguments {pair[0]} and {pair[1]} coincide"
+        )
     ev = _evaluator(params, route)
-    terms = []
-    for i in range(1, n + 1):
-        mi = coeff_M(i, lam, params.theta, params, n)
-        args = tuple(lam[k] for k in range(1, n + 1) if k != i)
-        terms.append(mi * ev(args))
-    for j in range(2, n + 1):
-        for i in range(1, j):
-            nji = coeff_N(j, i, lam, params.theta, params, n)
-            args = (lam[0],) + tuple(
-                lam[k] for k in range(1, n + 1) if k not in (i, j)
-            )
-            terms.append(nji * ev(args))
+    terms = [c * ev(args)
+             for c, args in exchange_terms(lam, params.theta, params, L + 1)]
     scale = max(abs(t) for t in terms)
     if scale == 0.0:
         return 0.0
@@ -321,7 +327,7 @@ def asymptotic_leading_coefficient(params: ModelParams) -> complex:
     in each x_i = xbar_i^2; this returns its closed-form top coefficient.
     """
     L = params.L
-    d = DerivedVariables.build(params, ())
+    d = DerivedVariables.build(params)
     q, t, ubar = d.q, d.t, d.ubar
     denom = 1.0 + 0j
     for n in range(1, L + 1):
@@ -381,7 +387,7 @@ def ode_residual_L1(x: complex, params: ModelParams) -> float:
     """
     if params.L != 1:
         raise BadLength("the differential equation applies to one row only")
-    d = DerivedVariables.build(params, ())
+    d = DerivedVariables.build(params)
     q, t = d.q, d.t
     u, ub = d.u[0], d.ubar[0]
     pole = 1.0 - q ** 2 * t ** 2

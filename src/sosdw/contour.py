@@ -153,11 +153,11 @@ def partition_residue_partial(params: ModelParams, lambdas,
     injective assignment and the value is exactly zero, mirroring what the
     quadrature over such a contour converges to.
     """
-    sv = validate(params, lambdas, "residue")
+    lams = validate(params, lambdas, "residue")
     enc = tuple(sorted(set(int(k) for k in enclosed)))
     if any(k < 0 or k >= params.L for k in enc):
         raise BadLength("enclosed pole indices outside the spectral vector")
-    terms = _residue_terms(params, sv.lambdas, enc)
+    terms = _residue_terms(params, lams, enc)
     return s(params.gamma) ** params.L * pairwise_sum(terms)
 
 
@@ -217,9 +217,9 @@ def _doubling(params: ModelParams, lams, spec: ContourSpec, max_nodes: int):
 def quadrature_convergence(params: ModelParams, lambdas, spec: ContourSpec,
                            max_nodes: int = MAX_NODES):
     """Values under node doubling, as (nodes, value) pairs."""
-    sv = validate(params, lambdas, "quadrature")
-    check_contour(spec, sv.lambdas)
-    return list(_doubling(params, sv.lambdas, spec, max_nodes))
+    lams = validate(params, lambdas, "quadrature")
+    check_contour(spec, lams)
+    return list(_doubling(params, lams, spec, max_nodes))
 
 
 def partition_quadrature_info(params: ModelParams, lambdas,
@@ -231,12 +231,12 @@ def partition_quadrature_info(params: ModelParams, lambdas,
     node cap.
     """
     check_size(params, "quadrature")
-    sv = validate(params, lambdas, "quadrature")
+    lams = validate(params, lambdas, "quadrature")
     if spec is None:
-        spec = auto_contour(sv.lambdas)
-    check_contour(spec, sv.lambdas)
+        spec = auto_contour(lams)
+    check_contour(spec, lams)
     prev = None
-    for nodes, val in _doubling(params, sv.lambdas, spec, MAX_NODES):
+    for nodes, val in _doubling(params, lams, spec, MAX_NODES):
         if prev is not None:
             if abs(val - prev) <= 1e-10 * max(abs(val), abs(prev)):
                 return val, nodes

@@ -112,46 +112,25 @@ class ModelParams:
 
 
 @dataclass(frozen=True)
-class SpectralVector:
-    """A validated tuple of row spectral parameters."""
-
-    lambdas: tuple
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "lambdas", tuple(complex(z) for z in self.lambdas)
-        )
-
-    @property
-    def n(self) -> int:
-        return len(self.lambdas)
-
-
-@dataclass(frozen=True)
 class DerivedVariables:
     """Exponentiated variables shared by the asymptotic and ODE checks.
 
-    ``x[i]`` is constructed as ``xbar[i] ** 2`` from a single exponential
-    evaluation, so the two agree bit-exactly and half-integer powers of x
-    are always expressed through xbar.
+    ``u[i]`` is constructed as ``ubar[i] ** 2`` from a single exponential
+    evaluation, so the two agree bit-exactly and half-integer powers of u
+    are always expressed through ubar.
     """
 
     q: complex
     t: complex
-    xbar: tuple
-    x: tuple
     ubar: tuple
     u: tuple
 
     @classmethod
-    def build(cls, params: ModelParams, lambdas) -> "DerivedVariables":
-        xbar = tuple(cmath.exp(z) for z in lambdas)
+    def build(cls, params: ModelParams) -> "DerivedVariables":
         ubar = tuple(cmath.exp(m) for m in params.mu)
         return cls(
             q=cmath.exp(params.gamma),
             t=cmath.exp(params.theta),
-            xbar=xbar,
-            x=tuple(v * v for v in xbar),
             ubar=ubar,
             u=tuple(v * v for v in ubar),
         )
@@ -250,11 +229,24 @@ def check_size(params: ModelParams, route: str) -> None:
         )
 
 
-def validate(params: ModelParams, lambdas, route: str) -> SpectralVector:
+def close_pair(points, floor: float):
+    """The first pair (i, j), i < j, with |sinh(z_i - z_j)| <= floor, or None.
+
+    Validation, the exchange-relation checks and the suites' separated
+    draws all judge coincidence here.
+    """
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            if abs(s(points[i] - points[j])) <= floor:
+                return i, j
+    return None
+
+
+def validate(params: ModelParams, lambdas, route: str) -> tuple:
     """Check every invariant applicable to the chosen route.
 
-    Returns the validated spectral vector, or raises a ValidationError
-    subclass identifying the first violated invariant.
+    Returns the spectral parameters as a tuple of complex values, or raises
+    a ValidationError subclass identifying the first violated invariant.
     """
     if route not in ROUTE_TABLE:
         raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
@@ -271,18 +263,14 @@ def validate(params: ModelParams, lambdas, route: str) -> SpectralVector:
                 f"sinh(theta + {n}*gamma) is below {EPS_SING:g}"
             )
     if spec.separated:
-        for i in range(params.L):
-            for j in range(i + 1, params.L):
-                if abs(s(lams[i] - lams[j])) <= EPS_SEP:
-                    raise CoincidentSpectral(
-                        f"spectral parameters {i} and {j} are closer than "
-                        f"{EPS_SEP:g} on route {route}"
-                    )
-        for i in range(params.L):
-            for j in range(i + 1, params.L):
-                if abs(s(params.mu[i] - params.mu[j])) <= EPS_SEP:
-                    raise CoincidentInhomogeneity(
-                        f"inhomogeneities {i} and {j} are closer than "
-                        f"{EPS_SEP:g} on route {route}"
-                    )
-    return SpectralVector(lams)
+        if (pair := close_pair(lams, EPS_SEP)) is not None:
+            raise CoincidentSpectral(
+                f"spectral parameters {pair[0]} and {pair[1]} are closer "
+                f"than {EPS_SEP:g} on route {route}"
+            )
+        if (pair := close_pair(params.mu, EPS_SEP)) is not None:
+            raise CoincidentInhomogeneity(
+                f"inhomogeneities {pair[0]} and {pair[1]} are closer than "
+                f"{EPS_SEP:g} on route {route}"
+            )
+    return lams

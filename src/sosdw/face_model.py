@@ -182,8 +182,7 @@ def enumerate_partition(params: ModelParams, lambdas) -> complex:
     """
     L = params.L
     check_size(params, "face")
-    sv = validate(params, lambdas, "face")
-    lams = sv.lambdas
+    lams = validate(params, lambdas, "face")
     mu = params.mu
     terms = []
     for grid in enumerate_height_grids(L):

@@ -53,15 +53,6 @@ def weights(lam: complex, theta: complex, params: ModelParams) -> WeightSextet:
     )
 
 
-@dataclass(frozen=True)
-class RMatrix:
-    """Dense 4x4 R-matrix in the basis (++, +-, -+, --)."""
-
-    entries: np.ndarray
-    lam: complex
-    theta: complex
-
-
 def _entries(w: WeightSextet) -> np.ndarray:
     m = np.zeros((4, 4), dtype=complex)
     m[0, 0] = w.a_plus
@@ -73,10 +64,9 @@ def _entries(w: WeightSextet) -> np.ndarray:
     return m
 
 
-def r_matrix(lam: complex, theta: complex, params: ModelParams) -> RMatrix:
+def r_matrix(lam: complex, theta: complex, params: ModelParams) -> np.ndarray:
     """The 4x4 R-matrix; only the six ice-rule entries are nonzero."""
-    return RMatrix(entries=_entries(weights(lam, theta, params)),
-                   lam=complex(lam), theta=complex(theta))
+    return _entries(weights(lam, theta, params))
 
 
 # Swap operator on the two-site space, and the total-spin diagonal.
@@ -148,8 +138,8 @@ def unitarity_residual(lam, theta, params) -> float:
     stays of the size of sinh(g+lam) sinh(g-lam).
     """
     g = params.gamma
-    r1 = r_matrix(lam, theta, params).entries
-    r2 = r_matrix(-lam, theta, params).entries
+    r1 = r_matrix(lam, theta, params)
+    r2 = r_matrix(-lam, theta, params)
     target = s(g + lam) * s(g - lam) * np.eye(4, dtype=complex)
     scale = np.linalg.norm(r1, 2) * np.linalg.norm(r2, 2)
     return float(np.abs(r1 @ SWAP @ r2 @ SWAP - target).max() / scale)
@@ -161,6 +151,6 @@ def ice_residual(lam, theta, params) -> float:
     The residual is the max-abs entry of the commutator of R with the total
     spin; it vanishes exactly, since R has only the six ice-rule entries.
     """
-    r = r_matrix(lam, theta, params).entries
+    r = r_matrix(lam, theta, params)
     return (float(np.abs(r @ TOTAL_SPIN - TOTAL_SPIN @ r).max())
             / float(np.abs(r).max()))

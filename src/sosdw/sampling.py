@@ -9,11 +9,32 @@ from __future__ import annotations
 
 import random
 
-from .core import ModelParams, ValidationError, validate
+from .core import ModelParams, NumericalError, ValidationError, validate
 
 RE_BOX = (-1.0, 1.0)
 IM_BOX = (-0.8, 0.8)
-MAX_TRIES = 500
+MAX_TRIES = 2000
+
+
+class NoAdmissibleDraw(NumericalError):
+    """Every one of MAX_TRIES draws in a row was rejected."""
+
+
+def first_admissible(draw, accept, what: str):
+    """Rejection-sample: the first ``draw()`` that ``accept`` holds for.
+
+    A draw that raises ValidationError counts as rejected.  ``accept`` runs
+    outside that guard, so its own errors propagate.  Raises
+    NoAdmissibleDraw after MAX_TRIES rejections in a row.
+    """
+    for _ in range(MAX_TRIES):
+        try:
+            candidate = draw()
+        except ValidationError:
+            continue
+        if accept(candidate):
+            return candidate
+    raise NoAdmissibleDraw(f"no admissible {what} in {MAX_TRIES} tries")
 
 
 def draw_complex(rng: random.Random) -> complex:
@@ -22,29 +43,26 @@ def draw_complex(rng: random.Random) -> complex:
 
 
 def draw_model(rng: random.Random, L: int, routes=("permutation",),
-               predicate=None, max_tries: int = MAX_TRIES):
+               predicate=None):
     """Draw (params, lambdas) accepted by every requested route check.
 
-    Rejection-samples until `validate` passes for each route in `routes`
-    and the optional extra predicate holds.  Raises RuntimeError if the
-    acceptance region is missed `max_tries` times in a row, which for the
-    default guards has never been observed.
+    Rejection-samples through :func:`first_admissible` until `validate`
+    passes for each route in `routes` and the optional extra predicate
+    holds.
     """
-    for _ in range(max_tries):
+    def draw():
         gamma = draw_complex(rng)
         theta = draw_complex(rng)
-        mu = tuple(draw_complex(rng) for _ in range(L))
-        lambdas = tuple(draw_complex(rng) for _ in range(L))
-        try:
-            params = ModelParams(gamma=gamma, theta=theta, mu=mu, L=L)
-            for route in routes:
-                validate(params, lambdas, route)
-        except ValidationError:
-            continue
-        if predicate is not None and not predicate(params, lambdas):
-            continue
+        mu = draw_spectral(rng, L)
+        lambdas = draw_spectral(rng, L)
+        params = ModelParams(gamma=gamma, theta=theta, mu=mu, L=L)
+        for route in routes:
+            validate(params, lambdas, route)
         return params, lambdas
-    raise RuntimeError(f"no admissible draw in {max_tries} tries")
+
+    return first_admissible(
+        draw, lambda drawn: predicate is None or predicate(*drawn),
+        "model draw")
 
 
 def draw_spectral(rng: random.Random, n: int):

@@ -18,14 +18,12 @@ from __future__ import annotations
 import cmath
 import random
 from dataclasses import dataclass
-from itertools import accumulate, combinations
+from itertools import accumulate
 from typing import Callable
 
 from . import closed_form, contour, face_model, rmatrix, yb_algebra
-from .core import ModelParams, ValidationError, s
-from .sampling import draw_complex, draw_model, draw_spectral
-
-_MAX_REJECT = 2000
+from .core import ModelParams, ValidationError, close_pair, s
+from .sampling import draw_complex, draw_model, draw_spectral, first_admissible
 
 
 @dataclass(frozen=True)
@@ -91,10 +89,6 @@ def _where_lams(params, lams) -> str:
     return f"{_where(params)} mu={_cs(params.mu)} lambdas={_cs(lams)}"
 
 
-def _gaps_clear(pts, floor) -> bool:
-    return all(abs(s(a - b)) > floor for a, b in combinations(pts, 2))
-
-
 def _theta_window_ok(params, lo, hi, floor=1e-3) -> bool:
     return all(abs(s(params.theta + n * params.gamma)) > floor
                for n in range(lo, hi + 1))
@@ -105,34 +99,29 @@ def _clear(params, lo, hi) -> bool:
     return abs(s(params.gamma)) > 1e-3 and _theta_window_ok(params, lo, hi)
 
 
-def _draw_params(rng, L, pred=None):
+def _draw_params(rng, L, pred):
     """Box-draw a parameter set passing construction and a predicate."""
-    for _ in range(_MAX_REJECT):
+    def draw():
         gamma = draw_complex(rng)
         theta = draw_complex(rng)
         mu = draw_spectral(rng, L)
-        try:
-            params = ModelParams(gamma=gamma, theta=theta, mu=mu, L=L)
-        except ValidationError:
-            continue
-        if pred is None or pred(params):
-            return params
-    raise RuntimeError("parameter draw predicate never satisfied")
+        return ModelParams(gamma=gamma, theta=theta, mu=mu, L=L)
+
+    return first_admissible(draw, pred, "parameter draw")
 
 
 def _draw_separated(rng, count, floor, avoid=()):
     """Draw spectral values whose pairwise sinh gaps clear the floor."""
-    for _ in range(_MAX_REJECT):
-        lams = draw_spectral(rng, count)
-        if _gaps_clear(tuple(avoid) + lams, floor):
-            return lams
-    raise RuntimeError("spectral separation draw never satisfied")
+    return first_admissible(
+        lambda: draw_spectral(rng, count),
+        lambda lams: close_pair(tuple(avoid) + lams, floor) is None,
+        "separated spectral draw")
 
 
 def _generic_closed_form(params) -> bool:
     """Draw region of the closed-form suites: clear of every denominator."""
     return (_clear(params, 0, 2 * params.L + 2)
-            and _gaps_clear(params.mu, 1e-3))
+            and close_pair(params.mu, 1e-3) is None)
 
 
 def _cartan_floor_ok(params, floor=1e-2) -> bool:
@@ -169,13 +158,11 @@ def _check_ice(rng, k):
 
 def _check_unitarity(rng, k):
     params = _draw_params(rng, 1, pred=lambda p: abs(s(p.theta)) > 1e-3)
-    for _ in range(_MAX_REJECT):
-        lam = draw_complex(rng)
-        if (abs(s(params.gamma + lam)) > 1e-3
-                and abs(s(params.gamma - lam)) > 1e-3):
-            break
-    else:
-        raise RuntimeError("no admissible spectral draw found")
+    g = params.gamma
+    lam = first_admissible(
+        lambda: draw_complex(rng),
+        lambda z: abs(s(g + z)) > 1e-3 and abs(s(g - z)) > 1e-3,
+        "spectral draw")
     return ("", rmatrix.unitarity_residual(lam, params.theta, params),
             f"{_where(params)} lam={_c(lam)}")
 
@@ -250,12 +237,10 @@ def _check_zeroes(rng, k):
 def _check_symmetry(rng, k):
     L = 2 + (k % 3)
     params = _draw_params(rng, L, pred=_generic_closed_form)
-    for _ in range(_MAX_REJECT):
-        lams = _draw_separated(rng, L, 1e-2)
-        if closed_form.permutation_condition(params, lams) < 1e3:
-            break
-    else:
-        raise RuntimeError("no well-conditioned draw found")
+    lams = first_admissible(
+        lambda: _draw_separated(rng, L, 1e-2),
+        lambda lams: closed_form.permutation_condition(params, lams) < 1e3,
+        "well-conditioned draw")
     i = rng.randrange(L)
     j = (i + 1 + rng.randrange(L - 1)) % L
     res_l = closed_form.symmetry_residual(params, lams, i, j)

@@ -18,7 +18,7 @@ import cmath
 
 import numpy as np
 
-from .closed_form import coeff_M, coeff_N
+from .closed_form import exchange_terms
 from .core import (
     EPS_SEP,
     BadLength,
@@ -27,6 +27,7 @@ from .core import (
     TooLarge,
     ValidationError,
     check_size,
+    close_pair,
     s,
     validate,
 )
@@ -73,9 +74,7 @@ def apply_monodromy_entry(which: str, lam: complex, theta: complex,
         shift = L - i
         new = {}
         for (a, b), amp in amps.items():
-            hsum = 0
-            for k in range(i + 1, L + 1):
-                hsum += 1 - 2 * ((b >> (L - k)) & 1)
+            hsum = shift - 2 * (b & ((1 << shift) - 1)).bit_count()
             w = weights(lam - mu[i - 1], theta - g * hsum, params)
             s_bit = (b >> shift) & 1
             for (a2, s2), val in _branches(w, a, s_bit):
@@ -158,9 +157,8 @@ def partition_algebraic(params: ModelParams, lambdas) -> complex:
     """
     L = params.L
     check_size(params, "algebra")
-    sv = validate(params, lambdas, "algebra")
-    v = creation_string(params, sv.lambdas, params.theta,
-                        list(range(1, L + 1)))
+    lams = validate(params, lambdas, "algebra")
+    v = creation_string(params, lams, params.theta, list(range(1, L + 1)))
     return complex(v[-1])
 
 
@@ -269,32 +267,17 @@ def cbb_residual(n: int, lambdas, theta: complex,
     if len(lambdas) != n + 1:
         raise BadLength(f"expected {n + 1} spectral values, got {len(lambdas)}")
     lam = [complex(z) for z in lambdas]
-    for a in range(n + 1):
-        for b in range(a + 1, n + 1):
-            if abs(s(lam[a] - lam[b])) <= EPS_SEP:
-                raise CoincidentSpectral(
-                    "coefficient formulas need separated arguments"
-                )
+    if close_pair(lam, EPS_SEP) is not None:
+        raise CoincidentSpectral(
+            "coefficient formulas need separated arguments"
+        )
     g = params.gamma
 
     lhs = creation_string(params, lam[1:], theta, list(range(n)))
     lhs = apply_monodromy_entry("C", lam[0], theta + g, params, lhs)
 
-    terms = []
-    for i in range(1, n + 1):
-        kept = [k for k in range(1, n + 1) if k != i]
-        vec = creation_string(
-            params, [lam[k] for k in kept], theta, list(range(1, n))
-        )
-        terms.append(coeff_M(i, lam, theta, params, n) * vec)
-    for j in range(2, n + 1):
-        for i in range(1, j):
-            kept = [k for k in range(1, n + 1) if k not in (i, j)]
-            vec = creation_string(
-                params, [lam[0]] + [lam[k] for k in kept], theta,
-                list(range(1, n)),
-            )
-            terms.append(coeff_N(j, i, lam, theta, params, n) * vec)
+    terms = [c * creation_string(params, args, theta, list(range(1, n)))
+             for c, args in exchange_terms(lam, theta, params, n)]
 
     rhs = np.sum(np.stack(terms), axis=0) if terms else np.zeros_like(lhs)
     scale = max(

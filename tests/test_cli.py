@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from sosdw import verify
 from sosdw.cli import ConfigError, DEFAULT_TOLERANCES, load_job_config, main
 from sosdw.contour import ContourSpec
 from sosdw.core import ROUTE_TABLE, ROUTES, BadLength, ModelParams, TooLarge
@@ -203,6 +204,18 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit):
             main(["verify", "--suite", "nonsense"])
         capsys.readouterr()
+
+    def test_verify_exit_1_when_every_draw_is_rejected(self, capsys,
+                                                        monkeypatch):
+        # gamma = 0 makes every ModelParams raise DegenerateGamma.
+        monkeypatch.setattr(verify, "draw_complex", lambda rng: 0j)
+        code = main(["verify", "--suite", "dybe", "--draws", "1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        error = json.loads(captured.err)["error"]
+        assert error["type"] == "NoAdmissibleDraw"
+        assert "2000" in error["message"]
 
     def test_verify_exit_2_on_nonpositive_draws(self, capsys):
         code = main(["verify", "--suite", "dybe", "--draws", "0"])

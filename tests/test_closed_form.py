@@ -144,6 +144,11 @@ class TestFunctionalEquation:
         with pytest.raises(BadLength):
             functional_equation_residual(params, (0.1, 0.2, 0.3))
 
+    def test_coincident_arguments_rejected(self, complex_params_l2):
+        params, _ = complex_params_l2
+        with pytest.raises(CoincidentSpectral, match="arguments 1 and 3 "):
+            functional_equation_residual(params, (0.1, 0.2, 0.3, 0.2))
+
     def test_coefficients_finite(self, complex_params_l2):
         params, _ = complex_params_l2
         lam = [0.11 - 0.2j, 0.42 + 0.1j, -0.31 + 0.05j, 0.27 - 0.33j]

@@ -19,9 +19,9 @@ from sosdw.core import (
     ModelParams,
     NumericalError,
     SingularTheta,
-    SpectralVector,
     TooLarge,
     ValidationError,
+    close_pair,
     pairwise_sum,
     s,
     validate,
@@ -92,15 +92,14 @@ class TestModelParams:
 
 
 class TestDerivedVariables:
-    @given(cnum, cnum, cnum)
+    @given(cnum, cnum)
     @settings(max_examples=40, deadline=None)
-    def test_square_is_bit_exact(self, g, th, lam):
+    def test_square_is_bit_exact(self, g, th):
         try:
             p = ModelParams(gamma=g, theta=th, mu=(0.1,), L=1)
         except ValidationError:
             return
-        d = DerivedVariables.build(p, (lam,))
-        assert d.x[0] == d.xbar[0] * d.xbar[0]
+        d = DerivedVariables.build(p)
         assert d.u[0] == d.ubar[0] * d.ubar[0]
         assert d.q == cmath.exp(g)
         assert d.t == cmath.exp(th)
@@ -114,8 +113,9 @@ class TestValidate:
         return ModelParams(**base)
 
     def test_returns_spectral_vector(self):
-        sv = validate(self.make(), (0.4, 0.2), "permutation")
-        assert isinstance(sv, SpectralVector) and sv.n == 2
+        lams = validate(self.make(), (0.4, 0.2), "permutation")
+        assert lams == (0.4, 0.2)
+        assert all(type(z) is complex for z in lams)
 
     def test_unknown_route(self):
         with pytest.raises(ValueError, match="unknown route"):
@@ -157,5 +157,21 @@ class TestValidate:
         with pytest.raises(CoincidentSpectral):
             validate(self.make(), (0.4, 0.4 + 1j * cmath.pi), "permutation")
 
+    def test_coincidence_message_names_first_close_pair(self):
+        p = self.make(L=3, mu=(0.13, -0.22, 0.31))
+        with pytest.raises(CoincidentSpectral, match="parameters 1 and 2 "):
+            validate(p, (0.4, 0.2, 0.2), "residue")
+
     def test_singularity_floor_value(self):
         assert EPS_SING == 1e-8 and EPS_SEP == 1e-6
+
+
+class TestClosePair:
+    def test_first_pair_in_row_major_order(self):
+        assert close_pair((0.0, 0.5, 0.5, 0.0), 1e-6) == (0, 3)
+        assert close_pair((0.1, 0.5, 0.5), 1e-6) == (1, 2)
+        assert close_pair((0.1, 0.2, 0.3), 1e-2) is None
+
+    def test_floor_is_inclusive(self):
+        assert close_pair((0.0, 0.1), abs(s(0.1))) == (0, 1)
+        assert close_pair((0.0, 0.1), abs(s(0.1)) * 0.999) is None

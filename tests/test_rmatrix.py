@@ -78,7 +78,7 @@ class TestWeightFormulas:
 
 class TestMatrixStructure:
     def test_ice_zeros(self):
-        r = r_matrix(0.23 - 0.11j, 0.57 - 0.08j, P1).entries
+        r = r_matrix(0.23 - 0.11j, 0.57 - 0.08j, P1)
         nonzero = {(0, 0), (1, 1), (2, 2), (3, 3), (1, 2), (2, 1)}
         for i in range(4):
             for j in range(4):
@@ -87,7 +87,7 @@ class TestMatrixStructure:
 
     def test_entry_placement(self):
         lam, th = 0.23 - 0.11j, 0.57 - 0.08j
-        r = r_matrix(lam, th, P1).entries
+        r = r_matrix(lam, th, P1)
         w = weights(lam, th, P1)
         assert r[0, 0] == w.a_plus and r[3, 3] == w.a_minus
         assert r[1, 1] == w.b_plus and r[2, 2] == w.b_minus

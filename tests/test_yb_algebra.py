@@ -153,6 +153,10 @@ class TestOperatorRecursion:
             assert r < 1e-10
             checked += 1
 
+    def test_coincident_arguments_rejected(self):
+        with pytest.raises(CoincidentSpectral):
+            cbb_residual(2, (0.1, 0.4, 0.4), 0.57 - 0.08j, P2)
+
 
 class TestHighestString:
     def test_nilpotency_is_structural_zero(self, rng):
