@@ -10,7 +10,7 @@ from .closed_form import (
     asymptotic_leading_coefficient,
     coeff_M,
     coeff_N,
-    degree_probe,
+    degree_residual,
     functional_equation_residual,
     leading_coefficient_interpolated,
     mu_symmetry_residual,
@@ -77,7 +77,7 @@ __all__ = [
     "commutation_residuals",
     "count_configurations",
     "creation_string",
-    "degree_probe",
+    "degree_residual",
     "dwbc_boundary",
     "dybe_residual",
     "enumerate_height_grids",

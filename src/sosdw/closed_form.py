@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import itertools
+import math
 
 from .core import (
     EPS_SEP,
@@ -32,10 +33,6 @@ from .core import (
     s,
     validate,
 )
-
-
-class NoPolynomialFit(NumericalError):
-    """No polynomial of degree up to the probe bound matches the samples."""
 
 
 def _evaluator(params: ModelParams, route: str):
@@ -340,40 +337,58 @@ def asymptotic_leading_coefficient(params: ModelParams) -> complex:
     return ((q - 1 / q) ** L / 2 ** (L * L)) * q_factorial(q * q, L) / denom
 
 
-def _top_divided_difference(xs, ys) -> complex:
-    """Leading Newton coefficient of the interpolating polynomial."""
-    terms = []
-    for i in range(len(xs)):
-        d = 1.0 + 0j
-        for j in range(len(xs)):
-            if j != i:
-                d *= xs[i] - xs[j]
-        terms.append(ys[i] / d)
-    return pairwise_sum(terms)
+# Radius of the circle |x| = R that the coefficient checks sample.  The
+# discrete Cauchy sum returns c_d R^d to within rounding of the largest
+# sample, so a large R, where the top coefficient dominates the samples,
+# reads it to rounding.  Worst `asymptotic` suite error over 320 rows
+# (seeds 0-15, 20 draws): 1.0e-6 at R=1, 3.7e-13 at R=20, 1.1e-14 at
+# R=100, 4.4e-15 at R=400.
+CIRCLE_RADIUS = 400.0
+
+
+def _circle_nodes(n: int, rot: float = 0.0) -> list:
+    """The lambda whose x = e^(2 lambda) are n equispaced points on |x| = R.
+
+    The points are turned by the angle ``rot``.
+    """
+    log_r = math.log(CIRCLE_RADIUS)
+    return [0.5 * complex(log_r, rot + 2 * math.pi * k / n)
+            for k in range(n)]
+
+
+def _cauchy_coefficient(samples, nodes, d: int) -> complex:
+    """Coefficient c_d of a polynomial in x from samples on a circle.
+
+    ``samples`` are the polynomial's values at x_k = e^(2 nodes[k]); the
+    discrete Cauchy sum (1/n) sum_k f(x_k) x_k^(-d) is exact for degrees
+    below the node count n.
+    """
+    return pairwise_sum(f * cmath.exp(-2 * d * z)
+                        for f, z in zip(samples, nodes)) / len(nodes)
 
 
 def leading_coefficient_interpolated(params: ModelParams,
                                      route: str = "permutation") -> complex:
-    """Top-monomial coefficient extracted by nested interpolation.
+    """Top-monomial coefficient extracted by nested Cauchy sums.
 
-    Samples the polynomial-normalized function on a deterministic tensor
-    grid of real spectral parameters, (L+1) nodes per variable, and takes
-    the order-L divided difference in each variable in turn.  Serves as an
-    independent oracle for :func:`asymptotic_leading_coefficient`.
+    Samples the polynomial-normalized function on a tensor grid of L+1
+    points per variable on the circle |x| = R, and takes the degree-L
+    coefficient in each variable in turn.  Variable v's points are turned
+    by 2 pi (v + 1/2) / (L+1)^2, so no two variables' points coincide.
+    Serves as an independent oracle for
+    :func:`asymptotic_leading_coefficient`.
     """
     L = params.L
     ev = _evaluator(params, route)
-    lam_nodes = [[0.13 + 0.37 * k + 0.061 * v for k in range(L + 1)]
+    lam_nodes = [_circle_nodes(L + 1, 2 * math.pi * (v + 0.5) / (L + 1) ** 2)
                  for v in range(L)]
-    x_nodes = [[cmath.exp(2 * z) for z in row] for row in lam_nodes]
 
     def topc(prefix):
         v = len(prefix)
         if v == L:
-            lams = tuple(lam_nodes[w][prefix[w]] for w in range(L))
-            return ev(lams) * cmath.exp(L * sum(lams))
-        vals = [topc(prefix + (k,)) for k in range(L + 1)]
-        return _top_divided_difference(x_nodes[v], vals)
+            return ev(prefix) * cmath.exp(L * sum(prefix))
+        vals = [topc(prefix + (z,)) for z in lam_nodes[v]]
+        return _cauchy_coefficient(vals, lam_nodes[v], L)
 
     return topc(())
 
@@ -420,52 +435,31 @@ def ode_residual_L1(x: complex, params: ModelParams) -> float:
     return abs(terms[0] + terms[1] + terms[2]) / scale
 
 
-def _lagrange_eval(xs, ys, x) -> complex:
-    val = 0j
-    for i in range(len(xs)):
-        b = ys[i]
-        for j in range(len(xs)):
-            if j != i:
-                b *= (x - xs[j]) / (xs[i] - xs[j])
-        val += b
-    return val
+def degree_residual(params: ModelParams, which: int,
+                    route: str = "permutation") -> float:
+    """Scaled weight of the coefficients above degree L in x_which.
 
-
-def degree_probe(params: ModelParams, which: int,
-                 route: str = "permutation") -> int:
-    """Least polynomial degree in x_which fitting the normalized function.
-
-    Samples 2L+2 nodes of the polynomial-normalized partition function along
-    one variable, then returns the smallest degree d <= 2L whose interpolant
-    through the first d+1 nodes reproduces the held-out nodes to 1e-9
-    relative.  Raises NoPolynomialFit when no candidate degree fits.
+    Samples the polynomial-normalized partition function at 2L+2 points of
+    the circle |x_which| = R, the other variables frozen, and returns
+    max_{d>L} |c_d| R^d / max_d |c_d| R^d: rounding for a polynomial of
+    degree L in x_which, near one for a higher degree.
     """
     L = params.L
     if not 0 <= which < L:
         raise BadLength(f"variable index {which} outside 0..{L - 1}")
     ev = _evaluator(params, route)
     frozen = [-0.51 - 0.19 * v + 0.11j * (v + 1) for v in range(L)]
-    lam_nodes = [0.09 + 0.29 * k for k in range(2 * L + 2)]
-    xs, ys = [], []
-    for node in lam_nodes:
+    nodes = _circle_nodes(2 * L + 2)
+    samples = []
+    for node in nodes:
         lams = list(frozen)
         lams[which] = node
-        xs.append(cmath.exp(2 * node))
-        ys.append(ev(tuple(lams))
-                  * cmath.exp(L * (sum(frozen) - frozen[which] + node)))
-    scale = max(abs(y) for y in ys)
-    if scale == 0.0:
-        raise NoPolynomialFit("all probe samples vanished")
-    for d in range(0, 2 * L + 1):
-        err = max(
-            abs(_lagrange_eval(xs[:d + 1], ys[:d + 1], xs[k]) - ys[k])
-            for k in range(d + 1, len(xs))
-        )
-        if err < 1e-9 * scale:
-            return d
-    raise NoPolynomialFit(
-        f"no polynomial of degree <= {2 * L} fits the samples"
-    )
+        samples.append(ev(tuple(lams)) * cmath.exp(L * sum(lams)))
+    if not any(samples):
+        raise NumericalError("all probe samples vanished")
+    sizes = [abs(_cauchy_coefficient(samples, nodes, d)) * CIRCLE_RADIUS ** d
+             for d in range(len(nodes))]
+    return max(sizes[L + 1:]) / max(sizes)
 
 
 def symmetry_residual(params: ModelParams, lambdas, i: int, j: int,

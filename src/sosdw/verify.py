@@ -253,8 +253,8 @@ def _check_degree(rng, k):
     L = 1 + (k % 4)
     params = _draw_params(rng, L, pred=_generic_closed_form)
     which = rng.randrange(L)
-    d = closed_form.degree_probe(params, which)
-    return (f" L={L} var={which} deg={d}", abs(d - L),
+    return (f" L={L} var={which}",
+            closed_form.degree_residual(params, which),
             f"{_where(params)} mu={_cs(params.mu)}")
 
 
@@ -312,7 +312,7 @@ SUITES = {
     "functional": Suite(_check_functional, 1e-9),
     "zeroes": Suite(_check_zeroes, 1e-9),
     "symmetry": Suite(_check_symmetry, 1e-11),
-    "degree": Suite(_check_degree, 0.5),
+    "degree": Suite(_check_degree, 1e-10),
     "asymptotic": Suite(_check_asymptotic, 1e-8),
     "ode": Suite(_check_ode, 1e-12),
     "contour": Suite(_check_contour, 1e-8),

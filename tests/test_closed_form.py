@@ -8,17 +8,19 @@ import random
 import mpmath
 import pytest
 
+from sosdw import closed_form
 from sosdw.core import (
     BadLength,
     CoincidentSpectral,
     ModelParams,
+    NumericalError,
     TooLarge,
 )
 from sosdw.closed_form import (
     asymptotic_leading_coefficient,
     coeff_M,
     coeff_N,
-    degree_probe,
+    degree_residual,
     functional_equation_residual,
     leading_coefficient_interpolated,
     mu_symmetry_residual,
@@ -33,6 +35,7 @@ from sosdw.closed_form import (
 )
 from sosdw.face_model import enumerate_partition
 from sosdw.sampling import draw_model, draw_spectral
+from sosdw.verify import THRESHOLDS
 
 
 def perm_sum_mp(params, lams, dps=50):
@@ -65,6 +68,18 @@ def perm_sum_mp(params, lams, dps=50):
                         / mpmath.sinh(lam[b] - lam[a])
             total += v
         return complex(total)
+
+
+def polynomial_route(poly):
+    """A stand-in for ``closed_form._evaluator`` with known coefficients.
+
+    Its normalized samples Z * prod_i xbar_i^L equal ``poly`` of the
+    variables x_i = e^(2 lambda_i).
+    """
+    def evaluator(params, route):
+        return lambda lams: (poly([cmath.exp(2 * z) for z in lams])
+                             * cmath.exp(-params.L * sum(lams)))
+    return evaluator
 
 
 class TestPermutationSum:
@@ -178,12 +193,30 @@ class TestAnalyticStructure:
     def test_degree_in_each_variable(self, rng, L):
         params, _ = draw_model(rng, L)
         for which in range(L):
-            assert degree_probe(params, which) == L
+            assert degree_residual(params, which) < THRESHOLDS["degree"]
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 4])
+    def test_degree_residual_flags_one_degree_too_many(self, rng, monkeypatch,
+                                                       L):
+        # the top coefficient of sum_{d <= L+1} x^d dominates on the circle
+        params, _ = draw_model(rng, L)
+        for which in range(L):
+            monkeypatch.setattr(closed_form, "_evaluator", polynomial_route(
+                lambda xs: sum(xs[which] ** d for d in range(L + 2))))
+            assert abs(degree_residual(params, which) - 1.0) < 1e-12
+
+    def test_degree_residual_rejects_vanishing_samples(self, monkeypatch,
+                                                      complex_params_l2):
+        params, _ = complex_params_l2
+        monkeypatch.setattr(closed_form, "_evaluator",
+                            polynomial_route(lambda xs: 0j))
+        with pytest.raises(NumericalError, match="vanished"):
+            degree_residual(params, 0)
 
     def test_degree_bad_index(self, complex_params_l2):
         params, _ = complex_params_l2
         with pytest.raises(BadLength):
-            degree_probe(params, 2)
+            degree_residual(params, 2)
 
     @pytest.mark.parametrize("L", [2, 3])
     def test_row_swap_symmetry(self, rng, L):
@@ -240,6 +273,19 @@ class TestLeadingCoefficient:
             want = asymptotic_leading_coefficient(params)
             got = leading_coefficient_interpolated(params)
             assert abs(got - want) <= 1e-8 * abs(want)
+
+    @pytest.mark.parametrize("L", [1, 2, 3])
+    def test_interpolation_reads_known_top_coefficient(self, rng, monkeypatch,
+                                                       L):
+        params, _ = draw_model(rng, L)
+        coeffs = [[complex(1 + d, v - d) for d in range(L + 1)]
+                  for v in range(L)]
+        monkeypatch.setattr(closed_form, "_evaluator", polynomial_route(
+            lambda xs: math.prod(sum(c * x ** d for d, c in enumerate(cv))
+                                 for cv, x in zip(coeffs, xs))))
+        want = math.prod(cv[L] for cv in coeffs)
+        got = leading_coefficient_interpolated(params)
+        assert abs(got - want) <= 1e-13 * abs(want)
 
 
 class TestDifferentialEquation:

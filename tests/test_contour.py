@@ -26,11 +26,10 @@ from sosdw.sampling import draw_model
 
 def draw_clustered(rng, L):
     """Parameters whose spectral points fit inside one legal circle."""
-    while True:
-        params, lams = draw_model(rng, L, routes=("residue", "quadrature"))
-        center = sum(lams) / L
-        if max(abs(z - center) for z in lams) < 1.0:
-            return params, lams
+    return draw_model(
+        rng, L, routes=("residue", "quadrature"),
+        predicate=lambda p, lams: max(abs(z - sum(lams) / L)
+                                      for z in lams) < 1.0)
 
 
 class TestContourValidation:
@@ -123,12 +122,9 @@ class TestQuadrature:
         # a circle around only the first pole converges to that pole's
         # residue sum, so deforming the contour changes the value by
         # exactly the residues crossed
-        while True:
-            params, lams = draw_model(rng, 2, routes=("residue",
-                                                      "quadrature"))
-            gap = abs(lams[0] - lams[1])
-            if 1.2 < gap < 2.4:
-                break
+        params, lams = draw_model(
+            rng, 2, routes=("residue", "quadrature"),
+            predicate=lambda p, lams: 1.2 < abs(lams[0] - lams[1]) < 2.4)
         spec = ContourSpec(center=lams[0], radius=0.4, nodes=256)
         check_contour(spec, (lams[0],))
         got = tensor_quadrature(params, lams, spec, 256)

@@ -7,11 +7,12 @@ from sosdw.core import (
     CoincidentSpectral,
     ModelParams,
     TooLarge,
+    close_pair,
     s,
 )
 from sosdw.closed_form import partition_L1, partition_permutation_sum
 from sosdw.rmatrix import weights
-from sosdw.sampling import draw_model, draw_spectral
+from sosdw.sampling import draw_model, draw_spectral, first_admissible
 from sosdw.yb_algebra import (
     cartan_h,
     cartan_string_residual,
@@ -30,13 +31,10 @@ P2 = ModelParams(gamma=0.31 + 0.12j, theta=0.57 - 0.08j,
                  mu=(0.13 - 0.21j, -0.22 + 0.15j), L=2)
 
 
-def separated(rng, L, n, floor=1e-2):
-    while True:
-        lams = draw_spectral(rng, n)
-        ok = all(abs(s(lams[a] - lams[b])) > floor
-                 for a in range(n) for b in range(a + 1, n))
-        if ok:
-            return lams
+def separated(rng, n, floor=1e-2):
+    return first_admissible(lambda: draw_spectral(rng, n),
+                            lambda lams: close_pair(lams, floor) is None,
+                            "separated spectral draw")
 
 
 class TestStateSpace:
@@ -112,9 +110,9 @@ class TestExchangeRelations:
     def test_all_relations(self, rng, L):
         checked = 0
         while checked < 4:
-            mu = separated(rng, L, L)
+            mu = separated(rng, L)
             params = ModelParams(gamma=0.31 + 0.12j, theta=0.0, mu=mu, L=L)
-            l1, l2 = separated(rng, L, 2)
+            l1, l2 = separated(rng, 2)
             th = 0.57 - 0.08j
             if any(abs(s(th + k * params.gamma)) < 1e-3
                    for k in range(-L - 2, 2 * L + 4)):
@@ -139,9 +137,9 @@ class TestOperatorRecursion:
     def test_annihilator_through_creators(self, rng, n, L):
         checked = 0
         while checked < 3:
-            mu = separated(rng, L, L)
+            mu = separated(rng, L)
             params = ModelParams(gamma=0.31 + 0.12j, theta=0.0, mu=mu, L=L)
-            lams = separated(rng, L, n + 1)
+            lams = separated(rng, n + 1)
             th = 0.57 - 0.08j
             if any(abs(s(th + k * params.gamma)) < 1e-3
                    for k in range(-L - 1, 2 * L + 3)):
