@@ -37,7 +37,6 @@ from .core import (
 )
 from .face_model import (
     count_configurations,
-    dwbc_boundary,
     enumerate_height_grids,
     enumerate_partition,
     hexagon_residual,
@@ -78,7 +77,6 @@ __all__ = [
     "count_configurations",
     "creation_string",
     "degree_residual",
-    "dwbc_boundary",
     "dybe_residual",
     "enumerate_height_grids",
     "enumerate_partition",

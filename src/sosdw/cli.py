@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 import time
@@ -37,9 +38,16 @@ class ConfigError(ValidationError):
 
 
 def _need_number(value, where):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where} must be a number")
-    return float(value)
+    # json.load accepts NaN, Infinity and integers past the float range;
+    # none of them is a usable parameter.
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ConfigError(f"{where} must be a finite number")
 
 
 def _parse_complex(obj, where) -> complex:
@@ -146,14 +154,19 @@ def _g17(x: float) -> str:
 
 
 def pairwise_deviations(values: dict, tol: float) -> list:
-    """Relative deviation of every pair of route values, in route order."""
+    """Relative deviation of every pair of route values, in route order.
+
+    A NaN or infinite value gives a NaN deviation, which is never within
+    tolerance.
+    """
     names = list(values)
     deviations = []
     for a in range(len(names)):
         for b in range(a + 1, len(names)):
             za, zb = values[names[a]], values[names[b]]
+            diff = abs(za - zb)
             scale = max(abs(za), abs(zb))
-            rel = abs(za - zb) / scale if scale > 0 else 0.0
+            rel = diff / scale if scale > 0 else diff
             deviations.append({
                 "routes": [names[a], names[b]],
                 "relative": rel,
@@ -264,8 +277,11 @@ def cmd_bench(args) -> int:
             )
     text = "\n".join(rows)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.csv, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ConfigError(f"cannot write csv file: {exc}") from exc
         print(f"wrote {len(rows) - 1} rows to {args.csv}")
     else:
         print(text)

@@ -158,21 +158,6 @@ def exchange_terms(lam, theta: complex, params: ModelParams, n: int):
                    (lam[0],) + tuple(lam[k] for k in rest if k not in (i, j)))
 
 
-def normalization_constant(params: ModelParams) -> complex:
-    """Overall constant produced by the recursive peeling of one row."""
-    g = params.gamma
-    mu = params.mu
-    val = s(g) ** params.L
-    for k in range(1, params.L):
-        f = s(mu[0] - mu[k] + g)
-        if abs(f) <= EPS_SING:
-            raise CoincidentInhomogeneity(
-                "mu_1 - mu_k + gamma is numerically zero"
-            )
-        val *= f
-    return val
-
-
 def _permutation_terms(params: ModelParams, lambdas) -> list:
     """The factorized terms, one per ordering of the spectral parameters.
 

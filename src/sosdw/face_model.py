@@ -12,21 +12,14 @@ height step above the top-left face of the quartet.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from .core import (
     ModelParams,
     ValidationError,
     check_size,
-    face_cap,  # noqa: F401 - part of this module's interface
     pairwise_sum,
     validate,
 )
 from .rmatrix import weights
-
-UNSET = -(2 ** 31)  # sentinel for interior faces that are not yet assigned
 
 
 class InvalidQuartet(ValidationError):
@@ -37,42 +30,22 @@ class InvalidBoundary(ValidationError):
     """A height boundary violates the unit-step adjacency rule."""
 
 
-@dataclass(frozen=True)
-class FaceQuartet:
-    """Offsets of the four faces around one vertex."""
-
-    k_bl: int
-    k_br: int
-    k_tl: int
-    k_tr: int
-
-    def pattern(self) -> str:
-        """Which of the six weights this quartet selects."""
-        key = (self.k_br - self.k_bl, self.k_tl - self.k_bl,
-               self.k_tr - self.k_bl)
-        try:
-            return _PATTERNS[key]
-        except KeyError:
-            raise InvalidQuartet(
-                f"no admissible weight for face offsets {self}"
-            ) from None
-
-
-# Keyed by (k_br - k_bl, k_tl - k_bl, k_tr - k_bl).  These six keys are the
-# only ones compatible with unit steps across all four edges.
+# Keyed by (k_br - k_bl, k_tl - k_bl, k_tr - k_bl), each value the (row, col)
+# entry of the weight table that the quartet selects.  These six keys are
+# the only ones compatible with unit steps across all four edges.
 _PATTERNS = {
-    (1, -1, 0): "a+",
-    (-1, 1, 0): "a-",
-    (-1, -1, -2): "b+",
-    (1, 1, 2): "b-",
-    (-1, -1, 0): "c+",
-    (1, 1, 0): "c-",
+    (1, -1, 0): (0, 0),
+    (-1, 1, 0): (3, 3),
+    (-1, -1, -2): (1, 1),
+    (1, 1, 2): (2, 2),
+    (-1, -1, 0): (1, 2),
+    (1, 1, 0): (2, 1),
 }
 
 
-def face_weight(quartet: FaceQuartet, lam: complex,
+def face_weight(k_bl: int, k_br: int, k_tl: int, k_tr: int, lam: complex,
                 params: ModelParams) -> complex:
-    """Statistical weight of one vertex, given its surrounding face quartet.
+    """Statistical weight of one vertex, given the offsets of its four faces.
 
     The dynamical argument is one height step above the top-left face,
     theta_loc = theta + (k_tl + 1) * gamma.  This uniform anchoring is the
@@ -82,89 +55,44 @@ def face_weight(quartet: FaceQuartet, lam: complex,
     (the two diagonal weights ignore the dynamical argument entirely, so
     only the anchor on the other four patterns is observable).
     """
-    pattern = quartet.pattern()
-    theta_loc = params.theta + (quartet.k_tl + 1) * params.gamma
-    w = weights(lam, theta_loc, params)
-    return {
-        "a+": w.a_plus,
-        "a-": w.a_minus,
-        "b+": w.b_plus,
-        "b-": w.b_minus,
-        "c+": w.c_plus,
-        "c-": w.c_minus,
-    }[pattern]
-
-
-@dataclass(frozen=True, eq=False)
-class HeightGrid:
-    """Integer height offsets on the (L+1) x (L+1) faces, bottom row first."""
-
-    offsets: np.ndarray
-    L: int
-
-    def check_heights(self) -> None:
-        """Raise unless every assigned pair of neighbours differs by one."""
-        k = self.offsets
-        n = self.L + 1
-        for r in range(n):
-            for c in range(n):
-                if k[r, c] == UNSET:
-                    continue
-                if c + 1 < n and k[r, c + 1] != UNSET \
-                        and abs(k[r, c] - k[r, c + 1]) != 1:
-                    raise InvalidBoundary(
-                        f"faces ({r},{c}) and ({r},{c + 1}) differ by "
-                        f"{abs(k[r, c] - k[r, c + 1])}"
-                    )
-                if r + 1 < n and k[r + 1, c] != UNSET \
-                        and abs(k[r, c] - k[r + 1, c]) != 1:
-                    raise InvalidBoundary(
-                        f"faces ({r},{c}) and ({r + 1},{c}) differ by "
-                        f"{abs(k[r, c] - k[r + 1, c])}"
-                    )
-
-
-def dwbc_boundary(L: int) -> HeightGrid:
-    """Domain-wall boundary offsets, interior left unset.
-
-    The bottom row and left column step down from L to 0 away from the
-    bottom-left corner; the top row and right column step up from 0 to L.
-    """
-    k = np.full((L + 1, L + 1), UNSET, dtype=np.int64)
-    for c in range(L + 1):
-        k[0, c] = L - c
-        k[L, c] = c
-    for r in range(L + 1):
-        k[r, 0] = L - r
-        k[r, L] = r
-    return HeightGrid(offsets=k, L=L)
+    try:
+        entry = _PATTERNS[(k_br - k_bl, k_tl - k_bl, k_tr - k_bl)]
+    except KeyError:
+        raise InvalidQuartet(
+            f"no admissible weight for face offsets (bl, br, tl, tr) = "
+            f"{(k_bl, k_br, k_tl, k_tr)}"
+        ) from None
+    theta_loc = params.theta + (k_tl + 1) * params.gamma
+    return weights(lam, theta_loc, params)[entry]
 
 
 def enumerate_height_grids(L: int):
     """Yield every complete height assignment compatible with the boundary.
 
-    Depth-first over the interior faces in row-major order, bottom row
-    first, pruning any partial assignment that already breaks the unit-step
-    rule against an assigned neighbour.
+    A grid is a tuple of L+1 rows of L+1 int offsets, bottom row first.
+    The domain-wall boundary steps down from L to 0 along the bottom row
+    and the left column, away from the bottom-left corner, and up from 0
+    to L along the top row and the right column.  Depth-first over the
+    interior faces in row-major order, bottom row first, pruning any
+    partial assignment that already breaks the unit-step rule against an
+    assigned neighbour.
     """
-    grid = dwbc_boundary(L).offsets.copy()
+    # Interior entries are placeholders, each written before it is read.
+    grid = [[L - r] + [0] * (L - 1) + [r] for r in range(L + 1)]
+    grid[0], grid[L] = list(range(L, -1, -1)), list(range(L + 1))
     cells = [(r, c) for r in range(1, L) for c in range(1, L)]
 
     def rec(idx):
         if idx == len(cells):
-            yield grid.copy()
+            yield tuple(map(tuple, grid))
             return
         r, c = cells[idx]
-        cands = {grid[r, c - 1] - 1, grid[r, c - 1] + 1}
-        cands &= {grid[r - 1, c] - 1, grid[r - 1, c] + 1}
-        if c == L - 1:
-            cands &= {grid[r, L] - 1, grid[r, L] + 1}
-        if r == L - 1:
-            cands &= {grid[L, c] - 1, grid[L, c] + 1}
-        for k in sorted(cands):
-            grid[r, c] = k
-            yield from rec(idx + 1)
-        grid[r, c] = UNSET
+        left, below = grid[r][c - 1], grid[r - 1][c]
+        for k in (left - 1, left + 1):
+            if abs(k - below) == 1 and (c < L - 1 or abs(k - r) == 1) \
+                    and (r < L - 1 or abs(k - c) == 1):
+                grid[r][c] = k
+                yield from rec(idx + 1)
 
     yield from rec(0)
 
@@ -187,20 +115,12 @@ def enumerate_partition(params: ModelParams, lambdas) -> complex:
     terms = []
     for grid in enumerate_height_grids(L):
         w = 1.0 + 0j
-        for r in range(L):
+        for r, (lower, upper) in enumerate(zip(grid, grid[1:])):
             for c in range(L):
-                quartet = FaceQuartet(
-                    k_bl=int(grid[r, c]), k_br=int(grid[r, c + 1]),
-                    k_tl=int(grid[r + 1, c]), k_tr=int(grid[r + 1, c + 1]),
-                )
-                w *= face_weight(quartet, lams[r] - mu[c], params)
+                w *= face_weight(lower[c], lower[c + 1], upper[c],
+                                 upper[c + 1], lams[r] - mu[c], params)
         terms.append(w)
     return pairwise_sum(terms)
-
-
-def _hexagon_weight(tl, tr, bl, br, lam, params):
-    return face_weight(FaceQuartet(k_bl=bl, k_br=br, k_tl=tl, k_tr=tr),
-                       lam, params)
 
 
 def hexagon_residual(u, v, ks, params) -> float:
@@ -228,16 +148,16 @@ def hexagon_residual(u, v, ks, params) -> float:
     lhs_terms = []
     for k0 in candidates(k2, k4, k6):
         lhs_terms.append(
-            _hexagon_weight(k2, k0, k3, k4, v, params)
-            * _hexagon_weight(k1, k6, k2, k0, u + v, params)
-            * _hexagon_weight(k6, k5, k0, k4, u, params)
+            face_weight(k3, k4, k2, k0, v, params)
+            * face_weight(k2, k0, k1, k6, u + v, params)
+            * face_weight(k0, k4, k6, k5, u, params)
         )
     rhs_terms = []
     for k0 in candidates(k1, k3, k5):
         rhs_terms.append(
-            _hexagon_weight(k1, k0, k2, k3, u, params)
-            * _hexagon_weight(k0, k5, k3, k4, u + v, params)
-            * _hexagon_weight(k1, k6, k0, k5, v, params)
+            face_weight(k2, k3, k1, k0, u, params)
+            * face_weight(k3, k4, k0, k5, u + v, params)
+            * face_weight(k0, k5, k1, k6, v, params)
         )
     scale = max(abs(t) for t in lhs_terms + rhs_terms)
     diff = abs(pairwise_sum(lhs_terms) - pairwise_sum(rhs_terms))

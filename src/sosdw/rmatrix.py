@@ -9,31 +9,20 @@ over the eigenbasis of the spectator height operator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import EPS_SING, ModelParams, SingularTheta, s
 
 
-@dataclass(frozen=True)
-class WeightSextet:
-    """The six vertex weights at one (lam, theta) pair.
+def weights(lam: complex, theta: complex, params: ModelParams) -> dict:
+    """The weight table: the six nonzero R-matrix entries at lam and theta.
 
-    Both a-weights are the same number by construction and are evaluated
-    once.
+    Keys are (row, col) in the (++, +-, -+, --) basis: the entry at
+    (2a' + s', 2a + s) carries the spin pair (a, s) to (a', s').  The
+    R-matrix, the monodromy entries and the face patterns all read this
+    one table.  Both a-weights are the same number by construction and
+    are evaluated once.
     """
-
-    a_plus: complex
-    a_minus: complex
-    b_plus: complex
-    b_minus: complex
-    c_plus: complex
-    c_minus: complex
-
-
-def weights(lam: complex, theta: complex, params: ModelParams) -> WeightSextet:
-    """Evaluate the weight sextet at spectral argument lam and local theta."""
     g = params.gamma
     st = s(theta)
     if abs(st) <= EPS_SING:
@@ -43,30 +32,22 @@ def weights(lam: complex, theta: complex, params: ModelParams) -> WeightSextet:
     a = s(lam + g)
     sl = s(lam)
     sg = s(g)
-    return WeightSextet(
-        a_plus=a,
-        a_minus=a,
-        b_plus=sl * s(theta - g) / st,
-        b_minus=sl * s(theta + g) / st,
-        c_plus=sg * s(theta - lam) / st,
-        c_minus=sg * s(theta + lam) / st,
-    )
-
-
-def _entries(w: WeightSextet) -> np.ndarray:
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = w.a_plus
-    m[1, 1] = w.b_plus
-    m[1, 2] = w.c_plus
-    m[2, 1] = w.c_minus
-    m[2, 2] = w.b_minus
-    m[3, 3] = w.a_minus
-    return m
+    return {
+        (0, 0): a,
+        (1, 1): sl * s(theta - g) / st,
+        (1, 2): sg * s(theta - lam) / st,
+        (2, 1): sg * s(theta + lam) / st,
+        (2, 2): sl * s(theta + g) / st,
+        (3, 3): a,
+    }
 
 
 def r_matrix(lam: complex, theta: complex, params: ModelParams) -> np.ndarray:
     """The 4x4 R-matrix; only the six ice-rule entries are nonzero."""
-    return _entries(weights(lam, theta, params))
+    m = np.zeros((4, 4), dtype=complex)
+    for entry, val in weights(lam, theta, params).items():
+        m[entry] = val
+    return m
 
 
 # Swap operator on the two-site space, and the total-spin diagonal.
@@ -94,12 +75,10 @@ def _embedded_r(lam, theta, params, pair, branch=None):
             key = bits[branch]
         if key not in cache:
             th = theta if branch is None else theta - params.gamma * (1 - 2 * key)
-            cache[key] = _entries(weights(lam, th, params))
-        r4 = cache[key]
+            cache[key] = weights(lam, th, params)
         col = 2 * bits[p] + bits[q]
-        for row in range(4):
-            val = r4[row, col]
-            if val == 0:
+        for (row, c), val in cache[key].items():
+            if c != col:
                 continue
             nb = list(bits)
             nb[p], nb[q] = row >> 1, row & 1

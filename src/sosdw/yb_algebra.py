@@ -31,7 +31,7 @@ from .core import (
     s,
     validate,
 )
-from .rmatrix import WeightSextet, weights
+from .rmatrix import weights
 
 
 class SingularKFactor(ValidationError):
@@ -40,17 +40,6 @@ class SingularKFactor(ValidationError):
 
 # (aux_out_bit, aux_in_bit) selecting each monodromy entry.
 _AUX = {"A": (0, 0), "B": (0, 1), "C": (1, 0), "D": (1, 1)}
-
-
-def _branches(w: WeightSextet, a_bit: int, s_bit: int):
-    """Nonzero transitions (a', s') with amplitudes for input (a, s)."""
-    if (a_bit, s_bit) == (0, 0):
-        return (((0, 0), w.a_plus),)
-    if (a_bit, s_bit) == (0, 1):
-        return (((0, 1), w.b_plus), ((1, 0), w.c_minus))
-    if (a_bit, s_bit) == (1, 0):
-        return (((0, 1), w.c_plus), ((1, 0), w.b_minus))
-    return (((1, 1), w.a_minus),)
 
 
 def apply_monodromy_entry(which: str, lam: complex, theta: complex,
@@ -76,10 +65,11 @@ def apply_monodromy_entry(which: str, lam: complex, theta: complex,
         for (a, b), amp in amps.items():
             hsum = shift - 2 * (b & ((1 << shift) - 1)).bit_count()
             w = weights(lam - mu[i - 1], theta - g * hsum, params)
-            s_bit = (b >> shift) & 1
-            for (a2, s2), val in _branches(w, a, s_bit):
-                b2 = (b & ~(1 << shift)) | (s2 << shift)
-                key = (a2, b2)
+            col = 2 * a + ((b >> shift) & 1)
+            for (row, c), val in w.items():
+                if c != col:
+                    continue
+                key = (row >> 1, (b & ~(1 << shift)) | ((row & 1) << shift))
                 prev = new.get(key)
                 new[key] = amp * val if prev is None else prev + amp * val
         amps = new
@@ -115,22 +105,6 @@ def cartan_h(L: int) -> np.ndarray:
     """Diagonal of the total-spin operator in the basis-index order."""
     return np.array([L - 2 * b.bit_count() for b in range(1 << L)],
                     dtype=float)
-
-
-def su2_generators(L: int):
-    """Dense raising and lowering sums and the total spin, for small L."""
-    dim = 1 << L
-    e = np.zeros((dim, dim), dtype=complex)
-    f = np.zeros((dim, dim), dtype=complex)
-    for b in range(dim):
-        for i in range(L):
-            bit = 1 << (L - 1 - i)
-            if b & bit:
-                e[b & ~bit, b] += 1.0
-            else:
-                f[b | bit, b] += 1.0
-    h = np.diag(cartan_h(L)).astype(complex)
-    return e, f, h
 
 
 def creation_string(params: ModelParams, lambdas, theta: complex,

@@ -8,7 +8,13 @@ import json
 import pytest
 
 from sosdw import verify
-from sosdw.cli import ConfigError, DEFAULT_TOLERANCES, load_job_config, main
+from sosdw.cli import (
+    DEFAULT_TOLERANCES,
+    ConfigError,
+    load_job_config,
+    main,
+    pairwise_deviations,
+)
 from sosdw.contour import ContourSpec
 from sosdw.core import ROUTE_TABLE, ROUTES, BadLength, ModelParams, TooLarge
 
@@ -104,6 +110,23 @@ class TestLoadJobConfig:
         assert cfg.contour.radius == 0.9
         assert cfg.contour.nodes == 32
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity",
+                                       "1" + "0" * 400],
+                             ids=["nan", "inf", "-inf", "1e400-int"])
+    def test_non_finite_numbers_rejected(self, tmp_path, token):
+        # json.load accepts these tokens; the config layer must not
+        raw = json.dumps(cfg_dict(gamma={"re": 0.0, "im": 0.12}))
+        raw = raw.replace('"re": 0.0', f'"re": {token}', 1)
+        path = tmp_path / "job.json"
+        path.write_text(raw)
+        with pytest.raises(ConfigError, match="gamma.re"):
+            load_job_config(str(path))
+        raw = json.dumps(cfg_dict(tolerances={"route_agreement": 0.5}))
+        path.write_text(raw.replace('"route_agreement": 0.5',
+                                    f'"route_agreement": {token}'))
+        with pytest.raises(ConfigError, match="route_agreement"):
+            load_job_config(str(path))
+
     def test_contour_rejects_unknown_or_missing_fields(self, tmp_path):
         with pytest.raises(ConfigError):
             load_job_config(write_cfg(
@@ -168,6 +191,29 @@ class TestComputeCommand:
         payload = json.loads(err)
         assert payload["error"]["type"] == "ConfigError"
         assert "whatever" in payload["error"]["message"]
+
+    def test_compute_exit_2_on_nan_parameter(self, tmp_path, capsys):
+        raw = json.dumps(cfg_dict(theta={"re": 0.0, "im": 0.0}))
+        path = tmp_path / "job.json"
+        path.write_text(raw.replace('"re": 0.0', '"re": NaN', 1))
+        code = main(["compute", "--config", str(path), "--json"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"]["type"] == "ConfigError"
+
+    @pytest.mark.parametrize("bad", [complex("nan"), complex("inf"),
+                                     complex("nan+nanj")])
+    def test_non_finite_route_value_never_passes(self, bad):
+        for values in ({"face": bad, "permutation": 1.0 + 0j},
+                       {"face": 1.0 + 0j, "permutation": bad},
+                       {"face": bad, "permutation": bad}):
+            [dev] = pairwise_deviations(values, 1e-9)
+            assert not dev["within_tolerance"], values
+
+    def test_zero_route_values_agree(self):
+        [dev] = pairwise_deviations({"face": 0j, "permutation": 0j}, 1e-9)
+        assert dev["relative"] == 0.0 and dev["within_tolerance"]
 
     def test_compute_exit_2_on_degenerate_anisotropy(self, tmp_path, capsys):
         path = write_cfg(tmp_path, gamma={"re": 0.0, "im": 0.0})
@@ -243,6 +289,17 @@ class TestBenchCommand:
         assert [int(r[2]) for r in perm_rows] == [1, 2, 6]
         for r in rows:
             assert complex(float(r[4]), float(r[5])) != 0
+
+    def test_bench_exit_2_on_unwritable_csv(self, tmp_path, capsys):
+        out_path = tmp_path / "missing" / "bench.csv"
+        code = main(["bench", "--lmin", "1", "--lmax", "1",
+                     "--routes", "permutation", "--csv", str(out_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        error = json.loads(captured.err)["error"]
+        assert error["type"] == "ConfigError"
+        assert "bench.csv" in error["message"]
 
     def test_bench_workload_column_monotone_within_route(self, tmp_path,
                                                          capsys):

@@ -1,23 +1,23 @@
 """Height enumeration oracle, weight dictionary, and star-triangle identity."""
 
-import random
+import itertools
 
-import numpy as np
 import pytest
 
-from sosdw.core import ROUTE_TABLE, ModelParams, TooLarge, ValidationError
+from sosdw.core import (
+    ROUTE_TABLE,
+    ModelParams,
+    TooLarge,
+    ValidationError,
+    face_cap,
+)
 from sosdw.closed_form import partition_L1, partition_permutation_sum
 from sosdw.face_model import (
-    UNSET,
-    FaceQuartet,
-    HeightGrid,
     InvalidBoundary,
     InvalidQuartet,
     count_configurations,
-    dwbc_boundary,
     enumerate_height_grids,
     enumerate_partition,
-    face_cap,
     face_weight,
     hexagon_residual,
 )
@@ -28,86 +28,99 @@ REFERENCE_VALUE = 0.018805557352697261 + 0j
 # frozen from the agreement of all four exact routes at the fixture point
 # (relative spread 1.3e-15 at freeze time); tolerance per the build contract
 
+P = ModelParams(gamma=0.31 + 0.12j, theta=0.57 - 0.08j, mu=(0.0,), L=1)
+LAM = 0.23 - 0.11j
+
+# Quartet (k_bl, k_br, k_tl, k_tr) -> the (row, col) weight-table entry it
+# selects, in the (++, +-, -+, --) basis: a+, a-, b+, b-, c+, c-.
+SIX = {
+    (0, 1, -1, 0): (0, 0),
+    (0, -1, 1, 0): (3, 3),
+    (1, 0, 0, -1): (1, 1),
+    (-1, 0, 0, 1): (2, 2),
+    (1, 0, 0, 1): (1, 2),
+    (-1, 0, 0, -1): (2, 1),
+}
+
+
+def unit_steps(grid):
+    """Whether every pair of horizontal or vertical neighbours differs by 1."""
+    rows_ok = all(abs(a - b) == 1 for row in grid for a, b in zip(row, row[1:]))
+    cols_ok = all(abs(a - b) == 1 for lower, upper in zip(grid, grid[1:])
+                  for a, b in zip(lower, upper))
+    return rows_ok and cols_ok
+
 
 class TestQuartetDictionary:
     def test_six_patterns(self):
-        cases = {
-            (0, 1, -1, 0): "a+",
-            (0, -1, 1, 0): "a-",
-            (1, 0, 0, -1): "b+",
-            (-1, 0, 0, 1): "b-",
-            (1, 0, 0, 1): "c+",
-            (-1, 0, 0, -1): "c-",
-        }
-        for (bl, br, tl, tr), want in cases.items():
-            got = FaceQuartet(k_bl=bl, k_br=br, k_tl=tl, k_tr=tr).pattern()
-            assert got == want, (bl, br, tl, tr)
+        for (bl, br, tl, tr), entry in SIX.items():
+            th_loc = P.theta + (tl + 1) * P.gamma
+            got = face_weight(bl, br, tl, tr, LAM, P)
+            assert got == weights(LAM, th_loc, P)[entry], (bl, br, tl, tr)
 
     def test_translation_invariance(self):
-        q1 = FaceQuartet(k_bl=0, k_br=1, k_tl=-1, k_tr=0)
-        q2 = FaceQuartet(k_bl=5, k_br=6, k_tl=4, k_tr=5)
-        assert q1.pattern() == q2.pattern() == "a+"
+        # shifting all four offsets keeps the pattern and moves the anchor
+        for (bl, br, tl, tr), entry in SIX.items():
+            th_loc = P.theta + (tl + 6) * P.gamma
+            got = face_weight(bl + 5, br + 5, tl + 5, tr + 5, LAM, P)
+            assert got == weights(LAM, th_loc, P)[entry], (bl, br, tl, tr)
 
     def test_step_of_two_rejected(self):
         with pytest.raises(InvalidQuartet):
-            FaceQuartet(k_bl=0, k_br=2, k_tl=1, k_tr=1).pattern()
+            face_weight(0, 2, 1, 1, LAM, P)
 
     def test_constant_quartet_rejected(self):
         with pytest.raises(InvalidQuartet):
-            FaceQuartet(k_bl=0, k_br=0, k_tl=0, k_tr=0).pattern()
+            face_weight(0, 0, 0, 0, LAM, P)
+
+    def test_every_non_unit_step_rejected(self):
+        # the pattern lookup alone enforces the unit-step rule on all four
+        # edges: every other quartet raises
+        for br, tl, tr in itertools.product(range(-3, 4), repeat=3):
+            if unit_steps(((0, br), (tl, tr))):
+                face_weight(0, br, tl, tr, LAM, P)
+            else:
+                with pytest.raises(InvalidQuartet):
+                    face_weight(0, br, tl, tr, LAM, P)
 
 
 class TestFaceWeightValues:
     """Pinned dictionary rows: quartets whose top-left offset is -1 evaluate
     the corresponding weight at the bare reference height."""
 
-    P = ModelParams(gamma=0.31 + 0.12j, theta=0.57 - 0.08j, mu=(0.0,), L=1)
-
     def test_straight_cell(self):
-        lam = 0.23 - 0.11j
-        q = FaceQuartet(k_bl=0, k_br=1, k_tl=-1, k_tr=0)
-        w = weights(lam, self.P.theta, self.P)
-        assert face_weight(q, lam, self.P) == w.a_plus
+        w = weights(LAM, P.theta, P)
+        assert face_weight(0, 1, -1, 0, LAM, P) == w[(0, 0)]
 
     def test_exchange_cell(self):
-        lam = 0.23 - 0.11j
-        q = FaceQuartet(k_bl=0, k_br=-1, k_tl=-1, k_tr=0)
-        w = weights(lam, self.P.theta, self.P)
-        assert face_weight(q, lam, self.P) == w.c_plus
+        w = weights(LAM, P.theta, P)
+        assert face_weight(0, -1, -1, 0, LAM, P) == w[(1, 2)]
 
     def test_anchor_is_one_step_above_top_left(self):
-        lam = 0.23 - 0.11j
-        for bl, br, tl, tr in [(0, 1, -1, 0), (1, 0, 0, -1), (1, 0, 0, 1),
-                               (-1, 0, 0, 1), (-1, 0, 0, -1), (0, -1, 1, 0)]:
-            q = FaceQuartet(k_bl=bl, k_br=br, k_tl=tl, k_tr=tr)
-            th_loc = self.P.theta + (tl + 1) * self.P.gamma
-            w = weights(lam, th_loc, self.P)
-            table = {"a+": w.a_plus, "a-": w.a_minus, "b+": w.b_plus,
-                     "b-": w.b_minus, "c+": w.c_plus, "c-": w.c_minus}
-            assert face_weight(q, lam, self.P) == table[q.pattern()]
+        for tl in range(-3, 4):
+            # the c- quartet, whose weight depends on the anchor
+            th_loc = P.theta + (tl + 1) * P.gamma
+            got = face_weight(tl - 1, tl, tl, tl - 1, LAM, P)
+            assert got == weights(LAM, th_loc, P)[(2, 1)], tl
 
 
 class TestBoundary:
     def test_smallest_grid(self):
-        g = dwbc_boundary(1)
-        assert g.offsets.tolist() == [[1, 0], [0, 1]]
+        assert list(enumerate_height_grids(1)) == [((1, 0), (0, 1))]
 
     @pytest.mark.parametrize("L", [1, 2, 3, 4, 5])
     def test_corners(self, L):
-        k = dwbc_boundary(L).offsets
-        assert k[0, 0] == L and k[0, L] == 0
-        assert k[L, 0] == 0 and k[L, L] == L
+        for k in enumerate_height_grids(L):
+            assert k[0][0] == L and k[0][L] == 0
+            assert k[L][0] == 0 and k[L][L] == L
 
     @pytest.mark.parametrize("L", [2, 3, 4])
-    def test_boundary_steps_and_unset_interior(self, L):
-        g = dwbc_boundary(L)
-        g.check_heights()
-        assert (g.offsets[1:-1, 1:-1] == UNSET).all()
-
-    def test_check_heights_catches_bad_pair(self):
-        bad = HeightGrid(offsets=np.array([[1, 0], [0, 3]]), L=1)
-        with pytest.raises(InvalidBoundary):
-            bad.check_heights()
+    def test_every_grid_has_the_domain_wall_boundary(self, L):
+        for k in enumerate_height_grids(L):
+            assert k[0] == tuple(range(L, -1, -1))
+            assert k[L] == tuple(range(L + 1))
+            assert [row[0] for row in k] == list(range(L, -1, -1))
+            assert [row[L] for row in k] == list(range(L + 1))
 
 
 class TestEnumeration:
@@ -118,9 +131,12 @@ class TestEnumeration:
         assert ROUTE_TABLE["face"].workload(L, None) == count
 
     def test_grids_are_complete_and_valid(self):
-        for grid in enumerate_height_grids(3):
-            assert (grid != UNSET).all()
-            HeightGrid(offsets=grid, L=3).check_heights()
+        grids = list(enumerate_height_grids(3))
+        assert len(set(grids)) == len(grids) == 7
+        for grid in grids:
+            assert len(grid) == 4 and all(len(row) == 4 for row in grid)
+            assert all(type(k) is int for row in grid for k in row)
+            assert unit_steps(grid)
 
     def test_single_row_equals_closed_form(self, rng):
         for _ in range(100):

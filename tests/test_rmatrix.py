@@ -1,4 +1,4 @@
-"""Weight sextet and R-matrix identities."""
+"""Weight table and R-matrix identities."""
 
 import cmath
 import random
@@ -45,22 +45,23 @@ class TestWeightFormulas:
             return
         p = ModelParams(gamma=g, theta=0.5, mu=(0.0,), L=1)
         w = weights(lam, th, p)
-        assert cmath.isclose(w.a_plus, cmath.sinh(lam + g), rel_tol=1e-14)
-        assert cmath.isclose(w.a_minus, cmath.sinh(lam + g), rel_tol=1e-14)
+        assert set(w) == {(0, 0), (1, 1), (1, 2), (2, 1), (2, 2), (3, 3)}
+        assert cmath.isclose(w[0, 0], cmath.sinh(lam + g), rel_tol=1e-14)
+        assert cmath.isclose(w[3, 3], cmath.sinh(lam + g), rel_tol=1e-14)
         assert cmath.isclose(
-            w.b_plus,
+            w[1, 1],
             cmath.sinh(lam) * cmath.sinh(th - g) / cmath.sinh(th),
             rel_tol=1e-13)
         assert cmath.isclose(
-            w.b_minus,
+            w[2, 2],
             cmath.sinh(lam) * cmath.sinh(th + g) / cmath.sinh(th),
             rel_tol=1e-13)
         assert cmath.isclose(
-            w.c_plus,
+            w[1, 2],
             cmath.sinh(g) * cmath.sinh(th - lam) / cmath.sinh(th),
             rel_tol=1e-13)
         assert cmath.isclose(
-            w.c_minus,
+            w[2, 1],
             cmath.sinh(g) * cmath.sinh(th + lam) / cmath.sinh(th),
             rel_tol=1e-13)
 
@@ -72,8 +73,8 @@ class TestWeightFormulas:
         # at lam = 0 the two straight weights equal sinh(gamma) and the
         # diagonal-exchange pair carries the whole theta dependence
         w = weights(0.0, 0.57 - 0.08j, P1)
-        assert cmath.isclose(w.a_plus, cmath.sinh(P1.gamma), rel_tol=1e-14)
-        assert cmath.isclose(w.b_plus, 0.0, abs_tol=1e-15)
+        assert cmath.isclose(w[0, 0], cmath.sinh(P1.gamma), rel_tol=1e-14)
+        assert cmath.isclose(w[1, 1], 0.0, abs_tol=1e-15)
 
 
 class TestMatrixStructure:
@@ -89,9 +90,8 @@ class TestMatrixStructure:
         lam, th = 0.23 - 0.11j, 0.57 - 0.08j
         r = r_matrix(lam, th, P1)
         w = weights(lam, th, P1)
-        assert r[0, 0] == w.a_plus and r[3, 3] == w.a_minus
-        assert r[1, 1] == w.b_plus and r[2, 2] == w.b_minus
-        assert r[1, 2] == w.c_plus and r[2, 1] == w.c_minus
+        for entry, val in w.items():
+            assert r[entry] == val, entry
 
     def test_swap_and_spin_constants(self):
         assert np.array_equal(SWAP @ SWAP, np.eye(4))
