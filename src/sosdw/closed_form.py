@@ -13,7 +13,6 @@ source expression independently.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 
 from .core import (
@@ -29,6 +28,7 @@ from .core import (
     SingularTheta,
     check_size,
     close_pair,
+    ordering_terms,
     pairwise_sum,
     s,
     validate,
@@ -161,10 +161,10 @@ def exchange_terms(lam, theta: complex, params: ModelParams, n: int):
 def _permutation_terms(params: ModelParams, lambdas) -> list:
     """The factorized terms, one per ordering of the spectral parameters.
 
-    The analytically cancelled form of the closed expression: the only
-    surviving prefactor is sinh(gamma)^L, and each permutation contributes
-    a product of L theta-dependent factors, L*(L-1) inhomogeneity factors,
-    and the pair ratio over ordered positions.
+    The analytically cancelled form of the closed expression, without its
+    only surviving prefactor sinh(gamma)^L.  Parameter a at position p
+    contributes a theta-dependent factor and L-1 inhomogeneity factors,
+    and each pair of positions the ratio of the parameters placed there.
     """
     L = params.L
     check_size(params, "permutation")
@@ -173,34 +173,24 @@ def _permutation_terms(params: ModelParams, lambdas) -> list:
     th = params.theta
     mu = params.mu
 
-    thfac = [[s(th + (p + 1) * g - lams[a] + mu[p]) / s(th + (p + 1) * g)
-              for a in range(L)] for p in range(L)]
-    mshift = [[s(lams[a] - mu[j] + g) for j in range(L)] for a in range(L)]
-    mplain = [[s(lams[a] - mu[j]) for j in range(L)] for a in range(L)]
+    def site(p, lam):
+        v = s(th + (p + 1) * g - lam + mu[p]) / s(th + (p + 1) * g)
+        for j in range(p + 1, L):
+            v *= s(lam - mu[j] + g)
+        for j in range(p):
+            v *= s(lam - mu[j])
+        return v
+
+    sites = [[site(p, lam) for lam in lams] for p in range(L)]
     lratio = [[s(lams[b] - lams[a] + g) / s(lams[b] - lams[a]) if b != a
                else 0j for a in range(L)] for b in range(L)]
-
-    pref = s(g) ** L
-    terms = []
-    for perm in itertools.permutations(range(L)):
-        v = pref
-        for p in range(L):
-            a = perm[p]
-            v *= thfac[p][a]
-            for j in range(p + 1, L):
-                v *= mshift[a][j]
-            for j in range(p):
-                v *= mplain[a][j]
-        for p in range(L):
-            for m in range(p + 1, L):
-                v *= lratio[perm[m]][perm[p]]
-        terms.append(v)
-    return terms
+    return ordering_terms(sites, lratio, range(L))
 
 
 def partition_permutation_sum(params: ModelParams, lambdas) -> complex:
     """Partition function as a sum of factorized terms over permutations."""
-    return pairwise_sum(_permutation_terms(params, lambdas))
+    return s(params.gamma) ** params.L * pairwise_sum(
+        _permutation_terms(params, lambdas))
 
 
 def permutation_condition(params: ModelParams, lambdas) -> float:

@@ -9,7 +9,6 @@ shared circle gives an independent numerical route.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -21,6 +20,7 @@ from .core import (
     NoConvergence,
     ValidationError,
     check_size,
+    ordering_terms,
     pairwise_sum,
     s,
     validate,
@@ -77,60 +77,41 @@ def auto_contour(lambdas, nodes: int = 64) -> ContourSpec:
     return ContourSpec(center=center, radius=reach + 0.3, nodes=nodes)
 
 
-def _numerator(w, params: ModelParams) -> complex:
-    """The integrand without its pole denominators 1/sinh(w_i - lambda_j)."""
-    L = params.L
+def _site(j: int, w, params: ModelParams, sinh=s):
+    """Integrand factor of variable j at w, without its pole denominators.
+
+    ``w`` is a number, or a numpy array with ``sinh=np.sinh``.
+    """
     g = params.gamma
     th = params.theta
     mu = params.mu
-    val = 1.0 + 0j
-    for i in range(L):
-        for j in range(i + 1, L):
-            val *= s(w[j] - w[i] + g) * s(w[j] - w[i])
-    for j in range(L):
-        val *= s(th + (j + 1) * g - w[j] + mu[j]) / s(th + (j + 1) * g)
-    for i in range(L):
-        for j in range(i):
-            val *= s(mu[j] - w[i])
-        for j in range(i + 1, L):
-            val *= s(w[i] - mu[j] + g)
-    return val
+    f = sinh(th + (j + 1) * g - w + mu[j]) / s(th + (j + 1) * g)
+    for l in range(j):
+        f = f * sinh(mu[l] - w)
+    for l in range(j + 1, params.L):
+        f = f * sinh(w - mu[l] + g)
+    return f
 
 
-def integrand(w, lambdas, params: ModelParams) -> complex:
-    """The bracketed integrand at one point of the w-space.
-
-    The caller supplies the overall sinh(gamma)^L / (2*pi*i)^L prefactor
-    and the contour measure.
-    """
-    L = params.L
-    if len(w) != L or len(lambdas) != L:
-        raise BadLength("integrand needs L integration points and L poles")
-    for wi in w:
-        for lj in lambdas:
-            if abs(s(wi - lj)) < POLE_EPS:
-                raise PoleHit(f"evaluation point {wi} sits on a pole")
-    val = _numerator(w, params)
-    for i in range(L):
-        for j in range(L):
-            val /= s(w[i] - lambdas[j])
-    return val
+def _pair(wi, wj, g: complex, sinh=s):
+    """Integrand factor of the variables i < j at wi and wj."""
+    return sinh(wj - wi + g) * sinh(wj - wi)
 
 
 def _residue_terms(params: ModelParams, lams, enclosed):
-    """Residue contributions over injective pole assignments."""
+    """Residue contributions over injective pole assignments.
+
+    Variable j at pole a contributes its integrand factor over the other
+    poles' denominators prod_{b != a} sinh(lambda_a - lambda_b).
+    """
     L = params.L
-    terms = []
-    for sigma in itertools.permutations(enclosed, L):
-        w = [lams[sigma[i]] for i in range(L)]
-        num = _numerator(w, params)
-        den = 1.0 + 0j
-        for i in range(L):
-            for j in range(L):
-                if j != sigma[i]:
-                    den *= s(w[i] - lams[j])
-        terms.append(num / den)
-    return terms
+    den = [math.prod(s(lams[a] - lams[b]) for b in range(L) if b != a)
+           for a in range(L)]
+    site = [[_site(j, lams[a], params) / den[a] for a in range(L)]
+            for j in range(L)]
+    pair = [[_pair(lams[a], lams[b], params.gamma) for a in range(L)]
+            for b in range(L)]
+    return ordering_terms(site, pair, enclosed)
 
 
 def partition_residue(params: ModelParams, lambdas) -> complex:
@@ -167,17 +148,16 @@ def tensor_quadrature(params: ModelParams, lambdas, spec: ContourSpec,
 
     All L variables share the circle.  The contour measure, the 1/(2*pi*i)
     factors, and the sinh(gamma)^L prefactor are folded into the per-slot
-    node weights.  No enclosure check is performed here.
+    node weights.  No enclosure check is performed here, but the size cap
+    is: the contraction below covers at most three variables.
     """
+    check_size(params, "quadrature")
     L = params.L
     lams = tuple(complex(z) for z in lambdas)
-    g = params.gamma
-    th = params.theta
-    mu = params.mu
     phi = 2.0 * math.pi * np.arange(nodes) / nodes
     ring = spec.radius * np.exp(1j * phi)
     wn = spec.center + ring
-    measure = s(g) * ring / nodes
+    measure = s(params.gamma) * ring / nodes
 
     pole_gap = np.abs(np.sinh(wn[:, None] - np.array(lams)[None, :]))
     if float(pole_gap.min()) < POLE_EPS:
@@ -186,17 +166,11 @@ def tensor_quadrature(params: ModelParams, lambdas, spec: ContourSpec,
 
     slot = np.empty((L, nodes), dtype=complex)
     for j in range(L):
-        f = np.sinh(th + (j + 1) * g - wn + mu[j]) / s(th + (j + 1) * g)
-        for l in range(j):
-            f = f * np.sinh(mu[l] - wn)
-        for l in range(j + 1, L):
-            f = f * np.sinh(wn - mu[l] + g)
-        slot[j] = measure * f / pole_den
+        slot[j] = measure * _site(j, wn, params, np.sinh) / pole_den
 
     if L == 1:
         return complex(np.sum(slot[0]))
-    gap = wn[None, :] - wn[:, None]
-    pair = np.sinh(gap + g) * np.sinh(gap)
+    pair = _pair(wn[:, None], wn[None, :], params.gamma, np.sinh)
     if L == 2:
         return complex(slot[0] @ pair @ slot[1])
     inner = np.einsum("ac,bc,c->ab", pair, pair, slot[2], optimize=False)

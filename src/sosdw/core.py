@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import importlib
+import itertools
 import math
 import os
 from collections.abc import Callable
@@ -50,6 +51,14 @@ class TooLarge(ValidationError):
     """The requested system size exceeds the configured cap for the route."""
 
 
+class NonFinite(ValidationError):
+    """A parameter is NaN or infinite."""
+
+
+class SinhOverflow(ValidationError):
+    """sinh of an argument exceeds the double-precision range."""
+
+
 class NumericalError(RuntimeError):
     """A computation ran but failed to converge or to fit; exit code 1."""
 
@@ -60,7 +69,12 @@ class NoConvergence(NumericalError):
 
 def s(z: complex) -> complex:
     """sinh(z).  Odd, entire, and antiperiodic under z -> z + i*pi."""
-    return cmath.sinh(z)
+    try:
+        return cmath.sinh(z)
+    except OverflowError:
+        raise SinhOverflow(
+            f"sinh of {z} exceeds the double-precision range"
+        ) from None
 
 
 def pairwise_sum(values) -> complex:
@@ -78,6 +92,33 @@ def pairwise_sum(values) -> complex:
             merged.append(vals[-1])
         vals = merged
     return vals[0]
+
+
+def ordering_terms(site, pair, elements) -> list:
+    """One product per ordering a of len(site) distinct entries of elements.
+
+    The term of ``a`` is prod_p site[p][a_p] times prod_{p<m} pair[a_m][a_p],
+    the site factors multiplied position by position, then the pair factors
+    for p = 0.. and m = p+1.. in turn.  With fewer elements than positions
+    there is no ordering and the list is empty.  Both L! routes sum these
+    terms, each over its own factor tables.
+    """
+    L = len(site)
+    terms = []
+    for a in itertools.permutations(elements, L):
+        v = 1.0 + 0j
+        for p in range(L):
+            v *= site[p][a[p]]
+        for p in range(L):
+            for m in range(p + 1, L):
+                v *= pair[a[m]][a[p]]
+        terms.append(v)
+    return terms
+
+
+def _need_finite(value: complex, what: str) -> None:
+    if not cmath.isfinite(value):
+        raise NonFinite(f"{what} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -105,6 +146,10 @@ class ModelParams:
             raise BadLength(
                 f"expected {self.L} inhomogeneities, got {len(self.mu)}"
             )
+        _need_finite(self.gamma, "gamma")
+        _need_finite(self.theta, "theta")
+        for i, m in enumerate(self.mu):
+            _need_finite(m, f"mu[{i}]")
         if abs(s(self.gamma)) <= EPS_SING:
             raise DegenerateGamma(
                 "sinh(gamma) is numerically zero; the model degenerates"
@@ -257,6 +302,8 @@ def validate(params: ModelParams, lambdas, route: str) -> tuple:
             f"route {route}: expected {params.L} spectral parameters, "
             f"got {len(lams)}"
         )
+    for i, z in enumerate(lams):
+        _need_finite(z, f"lambda[{i}]")
     for n in spec.window(params.L):
         if abs(s(params.theta + n * params.gamma)) <= EPS_SING:
             raise SingularTheta(

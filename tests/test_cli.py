@@ -202,6 +202,21 @@ class TestComputeCommand:
         assert captured.out == ""
         assert json.loads(captured.err)["error"]["type"] == "ConfigError"
 
+    @pytest.mark.parametrize("override", [
+        {"gamma": {"re": 800, "im": 0.12}},
+        {"lambda": [{"re": 900, "im": 0.05}, {"re": 0.18, "im": -0.27}]},
+    ], ids=["gamma", "lambda"])
+    def test_compute_exit_2_on_sinh_overflow(self, tmp_path, capsys,
+                                             override):
+        path = write_cfg(tmp_path, **override)
+        code = main(["compute", "--config", path, "--json"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        error = json.loads(captured.err)["error"]
+        assert error["type"] == "SinhOverflow"
+        assert "sinh of" in error["message"]
+
     @pytest.mark.parametrize("bad", [complex("nan"), complex("inf"),
                                      complex("nan+nanj")])
     def test_non_finite_route_value_never_passes(self, bad):

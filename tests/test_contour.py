@@ -13,7 +13,6 @@ from sosdw.contour import (
     PoleHit,
     auto_contour,
     check_contour,
-    integrand,
     partition_quadrature,
     partition_quadrature_info,
     partition_residue,
@@ -55,10 +54,12 @@ class TestContourValidation:
         with pytest.raises(ContourInvalid):
             check_contour(ContourSpec(center=0j, radius=0.5, nodes=2), (0j,))
 
-    def test_pole_hit_in_integrand(self, complex_params_l2):
+    def test_pole_hit_on_a_quadrature_node(self, complex_params_l2):
+        # node 0 of the circle sits at center + radius, on the first pole
         params, lams = complex_params_l2
+        spec = ContourSpec(center=lams[0] - 0.5, radius=0.5, nodes=16)
         with pytest.raises(PoleHit):
-            integrand([lams[0], 0.9 + 0.9j], lams, params)
+            tensor_quadrature(params, lams, spec, 16)
 
 
 class TestResidueSum:
@@ -139,7 +140,15 @@ class TestQuadrature:
         assert za == zb
 
     def test_size_cap(self):
+        # the tensor contraction reads slots 0-2 only, so every entry point
+        # must refuse L = 4 rather than return a wrong value
         params = ModelParams(gamma=0.31 + 0.12j, theta=0.57 - 0.08j,
                              mu=(0.1, 0.2, 0.3, 0.4), L=4)
+        lams = (0.1, 0.2, 0.3, 0.4)
+        spec = auto_contour(lams, nodes=16)
         with pytest.raises(TooLarge):
-            partition_quadrature(params, (0.1, 0.2, 0.3, 0.4))
+            partition_quadrature(params, lams)
+        with pytest.raises(TooLarge):
+            quadrature_convergence(params, lams, spec, max_nodes=16)
+        with pytest.raises(TooLarge):
+            tensor_quadrature(params, lams, spec, 16)

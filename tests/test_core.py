@@ -1,7 +1,10 @@
 """Parameter types, summation helper, and validation gates."""
 
 import cmath
+import itertools
 import math
+import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -17,11 +20,14 @@ from sosdw.core import (
     DegenerateGamma,
     DerivedVariables,
     ModelParams,
+    NonFinite,
     NumericalError,
     SingularTheta,
+    SinhOverflow,
     TooLarge,
     ValidationError,
     close_pair,
+    ordering_terms,
     pairwise_sum,
     s,
     validate,
@@ -40,6 +46,43 @@ def test_route_names_fixed():
 def test_sinh_matches_cmath():
     z = 0.37 - 1.21j
     assert s(z) == cmath.sinh(z)
+
+
+@pytest.mark.parametrize("z", [800 + 0.12j, -900 + 0j])
+def test_sinh_overflow_names_its_argument(z):
+    with pytest.raises(SinhOverflow, match=re.escape(str(z))):
+        s(z)
+
+
+class TestOrderingTerms:
+    @staticmethod
+    def direct(site, pair, elements):
+        L = len(site)
+        return [math.prod(site[p][a[p]] for p in range(L))
+                * math.prod(pair[a[m]][a[p]]
+                            for p in range(L) for m in range(p + 1, L))
+                for a in itertools.permutations(elements, L)]
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 4])
+    @pytest.mark.parametrize("extra", [0, 2])
+    def test_matches_direct_product(self, L, extra):
+        rng = random.Random(4100 + 10 * L + extra)
+        n = L + extra + 1
+        draw = lambda: complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        site = [[draw() for _ in range(n)] for _ in range(L)]
+        pair = [[draw() for _ in range(n)] for _ in range(n)]
+        elements = rng.sample(range(n), L + extra)
+        got = ordering_terms(site, pair, elements)
+        want = self.direct(site, pair, elements)
+        assert len(got) == math.perm(L + extra, L)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-14 * abs(w)
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 4])
+    def test_fewer_elements_than_positions_is_empty(self, L):
+        site = [[1.0 + 0j] * L for _ in range(L)]
+        pair = [[1.0 + 0j] * L for _ in range(L)]
+        assert ordering_terms(site, pair, range(L - 1)) == []
 
 
 class TestPairwiseSum:
@@ -83,6 +126,15 @@ class TestModelParams:
         with pytest.raises(DegenerateGamma):
             ModelParams(gamma=1j * cmath.pi, theta=0.5, mu=(0.1,), L=1)
 
+    @pytest.mark.parametrize("field", ["gamma", "theta", "mu"])
+    @pytest.mark.parametrize("bad", [complex("nan"), complex("inf"),
+                                     complex(0.2, float("-inf"))])
+    def test_non_finite_rejected(self, field, bad):
+        kw = dict(gamma=0.3, theta=0.5, mu=(0.1, 0.2), L=2)
+        kw[field] = (0.1, bad) if field == "mu" else bad
+        with pytest.raises(NonFinite, match=field):
+            ModelParams(**kw)
+
     def test_error_hierarchy_for_exit_codes(self):
         assert issubclass(DegenerateGamma, ValidationError)
         assert issubclass(SingularTheta, ValidationError)
@@ -124,6 +176,12 @@ class TestValidate:
     def test_wrong_spectral_length(self):
         with pytest.raises(BadLength):
             validate(self.make(), (0.4,), "permutation")
+
+    @pytest.mark.parametrize("route", ["face", "permutation"])
+    @pytest.mark.parametrize("bad", [complex("nan"), complex(0.4, float("inf"))])
+    def test_non_finite_spectral_rejected(self, route, bad):
+        with pytest.raises(NonFinite, match=r"lambda\[1\]"):
+            validate(self.make(), (0.4, bad), route)
 
     def test_singular_theta_in_face_window(self):
         # the face route divides by sinh(theta + k*gamma) for k = 1..L+1
