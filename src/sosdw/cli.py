@@ -248,9 +248,14 @@ def cmd_compute(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = run_suite(args.suite, args.seed, args.draws)
-    print(report.render())
-    return 0 if report.passed else 1
+    passed = True
+    for i, name in enumerate(args.suite or SUITE_NAMES):
+        report = run_suite(name, args.seed, args.draws)
+        if i:
+            print()
+        print(report.render(), flush=True)
+        passed = passed and report.passed
+    return 0 if passed else 1
 
 
 def cmd_bench(args) -> int:
@@ -307,9 +312,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.set_defaults(func=cmd_compute)
 
     p_verify = sub.add_parser(
-        "verify", help="run one randomized identity suite"
+        "verify", help="run randomized identity suites"
     )
-    p_verify.add_argument("--suite", required=True, choices=SUITE_NAMES)
+    p_verify.add_argument("--suite", action="append", choices=SUITE_NAMES,
+                          help="suite to run; repeat for several "
+                               "(default: all, in table order)")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--draws", type=int, default=20)
     p_verify.set_defaults(func=cmd_verify)

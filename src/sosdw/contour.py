@@ -18,6 +18,7 @@ from .core import (
     BadLength,
     ModelParams,
     NoConvergence,
+    SinhOverflow,
     ValidationError,
     check_size,
     ordering_terms,
@@ -52,6 +53,12 @@ def check_contour(spec: ContourSpec, lambdas) -> None:
     """Raise unless every pole is well inside and every shifted copy well outside."""
     if spec.radius <= 0 or spec.nodes < 4:
         raise ContourInvalid("radius must be positive and nodes at least 4")
+    if spec.nodes > MAX_NODES // 2:
+        # Acceptance compares two evaluations, the second at twice the nodes.
+        raise ContourInvalid(
+            f"nodes must be at most {MAX_NODES // 2}, half the cap of "
+            f"{MAX_NODES} nodes per variable"
+        )
     if spec.radius >= math.pi - CONTOUR_MARGIN:
         raise ContourInvalid(
             "radius too large to separate poles from their i*pi copies"
@@ -77,10 +84,22 @@ def auto_contour(lambdas, nodes: int = 64) -> ContourSpec:
     return ContourSpec(center=center, radius=reach + 0.3, nodes=nodes)
 
 
+def _array_sinh(z):
+    """np.sinh that raises SinhOverflow where :func:`core.s` would."""
+    with np.errstate(over="raise"):
+        try:
+            return np.sinh(z)
+        except FloatingPointError:
+            worst = complex(z.flat[np.abs(z.real).argmax()])
+            raise SinhOverflow(
+                f"sinh of {worst} exceeds the double-precision range"
+            ) from None
+
+
 def _site(j: int, w, params: ModelParams, sinh=s):
     """Integrand factor of variable j at w, without its pole denominators.
 
-    ``w`` is a number, or a numpy array with ``sinh=np.sinh``.
+    ``w`` is a number, or a numpy array with ``sinh=_array_sinh``.
     """
     g = params.gamma
     th = params.theta
@@ -159,25 +178,22 @@ def tensor_quadrature(params: ModelParams, lambdas, spec: ContourSpec,
     wn = spec.center + ring
     measure = s(params.gamma) * ring / nodes
 
-    pole_gap = np.abs(np.sinh(wn[:, None] - np.array(lams)[None, :]))
-    if float(pole_gap.min()) < POLE_EPS:
+    pole_sinh = _array_sinh(wn[:, None] - np.array(lams)[None, :])
+    if float(np.abs(pole_sinh).min()) < POLE_EPS:
         raise PoleHit("a quadrature node sits on a pole")
-    pole_den = np.prod(np.sinh(wn[:, None] - np.array(lams)[None, :]), axis=1)
+    pole_den = np.prod(pole_sinh, axis=1)
 
     slot = np.empty((L, nodes), dtype=complex)
     for j in range(L):
-        slot[j] = measure * _site(j, wn, params, np.sinh) / pole_den
+        slot[j] = measure * _site(j, wn, params, _array_sinh) / pole_den
 
     if L == 1:
         return complex(np.sum(slot[0]))
-    pair = _pair(wn[:, None], wn[None, :], params.gamma, np.sinh)
-    if L == 2:
-        return complex(slot[0] @ pair @ slot[1])
-    inner = np.einsum("ac,bc,c->ab", pair, pair, slot[2], optimize=False)
-    return complex(
-        np.einsum("a,b,ab,ab->", slot[0], slot[1], pair, inner,
-                  optimize=False)
-    )
+    pair = _pair(wn[:, None], wn[None, :], params.gamma, _array_sinh)
+    if L == 3:
+        # pair[a, b] * sum_c pair[a, c] * slot[2][c] * pair[b, c]
+        pair = pair * ((pair * slot[2]) @ pair.T)
+    return complex(slot[0] @ pair @ slot[1])
 
 
 def _doubling(params: ModelParams, lams, spec: ContourSpec, max_nodes: int):

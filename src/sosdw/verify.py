@@ -313,7 +313,7 @@ SUITES = {
     "zeroes": Suite(_check_zeroes, 1e-9),
     "symmetry": Suite(_check_symmetry, 1e-11),
     "degree": Suite(_check_degree, 1e-10),
-    "asymptotic": Suite(_check_asymptotic, 1e-8),
+    "asymptotic": Suite(_check_asymptotic, 1e-12),
     "ode": Suite(_check_ode, 1e-12),
     "contour": Suite(_check_contour, 1e-8),
 }

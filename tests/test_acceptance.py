@@ -188,7 +188,7 @@ def test_criterion_5_structure_checks():
     pieces.append(f"row/column symmetry "
                   f"{max(r.residual for r in rep.rows):.2g}")
 
-    assert THRESHOLDS["asymptotic"] == 1e-8
+    assert THRESHOLDS["asymptotic"] == 1e-12
     rep = run_suite("asymptotic", seed=0, draws=12)
     assert rep.passed, rep.render()
     assert {int(r.label.split("L=")[1]) for r in rep.rows} == {1, 2, 3}

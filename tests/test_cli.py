@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import warnings
 
 import pytest
 
@@ -205,11 +206,15 @@ class TestComputeCommand:
     @pytest.mark.parametrize("override", [
         {"gamma": {"re": 800, "im": 0.12}},
         {"lambda": [{"re": 900, "im": 0.05}, {"re": 0.18, "im": -0.27}]},
-    ], ids=["gamma", "lambda"])
+        {"L": 1, "mu": [{"re": 0.13, "im": -0.21}],
+         "lambda": [{"re": 900, "im": 0.05}], "routes": ["quadrature"]},
+    ], ids=["gamma", "lambda", "quadrature"])
     def test_compute_exit_2_on_sinh_overflow(self, tmp_path, capsys,
                                              override):
         path = write_cfg(tmp_path, **override)
-        code = main(["compute", "--config", path, "--json"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["compute", "--config", path, "--json"])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
@@ -260,6 +265,23 @@ class TestVerifyCommand:
         main(["verify", "--suite", "dybe", "--seed", "3", "--draws", "4"])
         second = capsys.readouterr().out
         assert first == second
+
+    def test_verify_runs_each_named_suite(self, capsys):
+        code = main(["verify", "--suite", "ice", "--suite", "ode",
+                     "--suite", "contour", "--draws", "2"])
+        reports = capsys.readouterr().out.split("\n\n")
+        assert code == 0
+        assert [r.splitlines()[0] for r in reports] == [
+            f"suite {name}  seed 0  draws 2"
+            for name in ("ice", "ode", "contour")]
+        assert all(r.rstrip().endswith("-> PASS") for r in reports)
+
+    def test_verify_without_suite_runs_all_in_table_order(self, capsys):
+        code = main(["verify", "--draws", "1"])
+        reports = capsys.readouterr().out.split("\n\n")
+        assert code == 0
+        assert [r.splitlines()[0] for r in reports] == [
+            f"suite {name}  seed 0  draws 1" for name in verify.SUITE_NAMES]
 
     def test_verify_unknown_suite_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit):

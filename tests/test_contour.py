@@ -54,6 +54,12 @@ class TestContourValidation:
         with pytest.raises(ContourInvalid):
             check_contour(ContourSpec(center=0j, radius=0.5, nodes=2), (0j,))
 
+    def test_node_count_leaves_room_for_one_doubling(self):
+        check_contour(ContourSpec(center=0j, radius=0.5, nodes=256), (0j,))
+        with pytest.raises(ContourInvalid, match="at most 256"):
+            check_contour(ContourSpec(center=0j, radius=0.5, nodes=257),
+                          (0j,))
+
     def test_pole_hit_on_a_quadrature_node(self, complex_params_l2):
         # node 0 of the circle sits at center + radius, on the first pole
         params, lams = complex_params_l2

@@ -3,8 +3,12 @@
 import cmath
 import itertools
 import math
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -233,3 +237,15 @@ class TestClosePair:
     def test_floor_is_inclusive(self):
         assert close_pair((0.0, 0.1), abs(s(0.1))) == (0, 1)
         assert close_pair((0.0, 0.1), abs(s(0.1)) * 0.999) is None
+
+
+def test_exact_routes_import_without_numpy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    probe = ("import sys, sosdw\n"
+             "assert [m for m in sys.modules if m.startswith('sosdw.')] == []\n"
+             "import sosdw.closed_form\n"
+             "assert 'numpy' not in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

@@ -18,7 +18,6 @@ def _load(name):
 @pytest.mark.parametrize("name, argv", [
     ("compare_routes",
      ["--lmin", "1", "--lmax", "3", "--draws", "1", "--seed", "0"]),
-    ("run_checks", ["--suites", "ice,ode,contour", "--draws", "2"]),
 ])
 def test_script_main_returns_zero(name, argv, capsys):
     assert _load(name).main(argv) == 0

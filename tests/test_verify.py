@@ -27,7 +27,7 @@ EXPECTED_THRESHOLDS = {
     "zeroes": 1e-9,
     "symmetry": 1e-11,
     "degree": 1e-10,
-    "asymptotic": 1e-8,
+    "asymptotic": 1e-12,
     "ode": 1e-12,
     "contour": 1e-8,
 }
