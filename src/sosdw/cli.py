@@ -123,7 +123,10 @@ def load_job_config(path: str) -> JobConfig:
         if unknown:
             raise ConfigError(f"unknown tolerance keys: {sorted(unknown)}")
         for key, value in raw["tolerances"].items():
-            tolerances[key] = _need_number(value, f"tolerances.{key}")
+            tolerance = _need_number(value, f"tolerances.{key}")
+            if tolerance <= 0:
+                raise ConfigError(f"tolerances.{key} must be positive")
+            tolerances[key] = tolerance
 
     spec = None
     if "contour" in raw:

@@ -4,15 +4,14 @@ The partition function equals an L-fold contour integral whose i-th
 variable runs over a closed contour enclosing every row spectral parameter
 exactly once, while excluding all of their i*pi-shifted copies.  Evaluating
 by residues reproduces the closed form; evaluating by quadrature on one
-shared circle gives an independent numerical route.
+shared circle gives an independent numerical route.  Only the quadrature
+builds arrays, and it alone imports numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .core import (
     BadLength,
@@ -86,6 +85,8 @@ def auto_contour(lambdas, nodes: int = 64) -> ContourSpec:
 
 def _array_sinh(z):
     """np.sinh that raises SinhOverflow where :func:`core.s` would."""
+    import numpy as np
+
     with np.errstate(over="raise"):
         try:
             return np.sinh(z)
@@ -170,6 +171,8 @@ def tensor_quadrature(params: ModelParams, lambdas, spec: ContourSpec,
     node weights.  No enclosure check is performed here, but the size cap
     is: the contraction below covers at most three variables.
     """
+    import numpy as np
+
     check_size(params, "quadrature")
     L = params.L
     lams = tuple(complex(z) for z in lambdas)

@@ -4,12 +4,12 @@ The six nonzero vertex weights depend on a spectral argument ``lam`` and on
 the local dynamical parameter ``theta``.  The R-matrix acts on the tensor
 product of two two-state spaces ordered (++, +-, -+, --), and the
 operator-valued shift of the dynamical parameter is resolved by branching
-over the eigenbasis of the spectator height operator.
+over the eigenbasis of the spectator height operator.  The weight table is
+pure Python; the dense matrices and their identity checks import numpy in
+their own bodies.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from .core import EPS_SING, ModelParams, SingularTheta, s
 
@@ -42,18 +42,23 @@ def weights(lam: complex, theta: complex, params: ModelParams) -> dict:
     }
 
 
-def r_matrix(lam: complex, theta: complex, params: ModelParams) -> np.ndarray:
+def r_matrix(lam: complex, theta: complex, params: ModelParams):
     """The 4x4 R-matrix; only the six ice-rule entries are nonzero."""
+    import numpy as np
+
     m = np.zeros((4, 4), dtype=complex)
     for entry, val in weights(lam, theta, params).items():
         m[entry] = val
     return m
 
 
-# Swap operator on the two-site space, and the total-spin diagonal.
-SWAP = np.zeros((4, 4), dtype=complex)
-SWAP[0, 0] = SWAP[3, 3] = SWAP[1, 2] = SWAP[2, 1] = 1.0
-TOTAL_SPIN = np.diag([2.0, 0.0, 0.0, -2.0]).astype(complex)
+def two_site_operators():
+    """The swap operator on the two-site space and the total-spin diagonal."""
+    import numpy as np
+
+    swap = np.zeros((4, 4), dtype=complex)
+    swap[0, 0] = swap[3, 3] = swap[1, 2] = swap[2, 1] = 1.0
+    return swap, np.diag([2.0, 0.0, 0.0, -2.0]).astype(complex)
 
 
 def _embedded_r(lam, theta, params, pair, branch=None):
@@ -64,6 +69,8 @@ def _embedded_r(lam, theta, params, pair, branch=None):
     with h = +1/-1 the spectator spin, resolved separately on each basis
     state.
     """
+    import numpy as np
+
     p, q = pair
     m = np.zeros((8, 8), dtype=complex)
     cache = {}
@@ -95,6 +102,8 @@ def dybe_residual(l1, l2, l3, theta, params) -> float:
     sinh(theta + n*gamma) can make single factors large while both sides
     stay of order one.
     """
+    import numpy as np
+
     l12, l13, l23 = l1 - l2, l1 - l3, l2 - l3
     factors = ((_embedded_r(l12, theta, params, (0, 1), branch=2),
                 _embedded_r(l13, theta, params, (0, 2)),
@@ -116,12 +125,15 @@ def unitarity_residual(lam, theta, params) -> float:
     sinh(theta) both factors grow like 1/sinh(theta) while the product
     stays of the size of sinh(g+lam) sinh(g-lam).
     """
+    import numpy as np
+
+    swap, _ = two_site_operators()
     g = params.gamma
     r1 = r_matrix(lam, theta, params)
     r2 = r_matrix(-lam, theta, params)
     target = s(g + lam) * s(g - lam) * np.eye(4, dtype=complex)
     scale = np.linalg.norm(r1, 2) * np.linalg.norm(r2, 2)
-    return float(np.abs(r1 @ SWAP @ r2 @ SWAP - target).max() / scale)
+    return float(np.abs(r1 @ swap @ r2 @ swap - target).max() / scale)
 
 
 def ice_residual(lam, theta, params) -> float:
@@ -130,6 +142,9 @@ def ice_residual(lam, theta, params) -> float:
     The residual is the max-abs entry of the commutator of R with the total
     spin; it vanishes exactly, since R has only the six ice-rule entries.
     """
+    import numpy as np
+
+    _, spin = two_site_operators()
     r = r_matrix(lam, theta, params)
-    return (float(np.abs(r @ TOTAL_SPIN - TOTAL_SPIN @ r).max())
+    return (float(np.abs(r @ spin - spin @ r).max())
             / float(np.abs(r).max()))

@@ -10,13 +10,15 @@ current basis state branch by branch.
 Basis convention: site i (1-based from the left) maps to bit L - i of the
 state index, bit value 0 meaning spin up.  The index 0 state is the all-up
 reference state and the index 2^L - 1 state is the all-down one.
+
+A state vector is a plain list of 2^L complex amplitudes in basis-index
+order, so the algebraic route runs without numpy; only the dense operator
+checks import it, in their own bodies.
 """
 
 from __future__ import annotations
 
 import cmath
-
-import numpy as np
 
 from .closed_form import exchange_terms
 from .core import (
@@ -43,8 +45,10 @@ _AUX = {"A": (0, 0), "B": (0, 1), "C": (1, 0), "D": (1, 1)}
 
 
 def apply_monodromy_entry(which: str, lam: complex, theta: complex,
-                          params: ModelParams, vec: np.ndarray) -> np.ndarray:
+                          params: ModelParams, vec) -> list:
     """Apply one monodromy entry to a quantum-space vector.
+
+    ``vec`` is any sequence of 2^L amplitudes; the result is a new list.
 
     ``theta`` is the dynamical argument of the whole row operator; the
     per-site shifts are resolved internally.
@@ -73,7 +77,7 @@ def apply_monodromy_entry(which: str, lam: complex, theta: complex,
                 prev = new.get(key)
                 new[key] = amp * val if prev is None else prev + amp * val
         amps = new
-    out = np.zeros(1 << L, dtype=complex)
+    out = [0j] * (1 << L)
     for (a, b), amp in amps.items():
         if a == aux_out:
             out[b] += amp
@@ -81,34 +85,38 @@ def apply_monodromy_entry(which: str, lam: complex, theta: complex,
 
 
 def monodromy_entry(which: str, lam: complex, theta: complex,
-                    params: ModelParams) -> np.ndarray:
+                    params: ModelParams):
     """One of the four row-operator entries as a dense 2^L x 2^L matrix."""
+    import numpy as np
+
     dim = 1 << params.L
     m = np.zeros((dim, dim), dtype=complex)
     for b in range(dim):
-        e = np.zeros(dim, dtype=complex)
-        e[b] = 1.0
+        e = [0j] * dim
+        e[b] = 1 + 0j
         m[:, b] = apply_monodromy_entry(which, lam, theta, params, e)
     return m
 
 
 def vacuum_states(L: int):
     """The all-up reference state and the all-down dual reference state."""
-    up = np.zeros(1 << L, dtype=complex)
-    up[0] = 1.0
-    down = np.zeros(1 << L, dtype=complex)
-    down[-1] = 1.0
+    up = [0j] * (1 << L)
+    up[0] = 1 + 0j
+    down = [0j] * (1 << L)
+    down[-1] = 1 + 0j
     return up, down
 
 
-def cartan_h(L: int) -> np.ndarray:
+def cartan_h(L: int):
     """Diagonal of the total-spin operator in the basis-index order."""
+    import numpy as np
+
     return np.array([L - 2 * b.bit_count() for b in range(1 << L)],
                     dtype=float)
 
 
 def creation_string(params: ModelParams, lambdas, theta: complex,
-                    offsets) -> np.ndarray:
+                    offsets) -> list:
     """Apply B(lambdas[j], theta + offsets[j]*gamma) ... to the all-up state.
 
     The factor with the largest j is applied first, matching a left-to-right
@@ -136,7 +144,9 @@ def partition_algebraic(params: ModelParams, lambdas) -> complex:
     return complex(v[-1])
 
 
-def _rel(lhs: np.ndarray, rhs: np.ndarray) -> float:
+def _rel(lhs, rhs) -> float:
+    import numpy as np
+
     scale = max(float(np.abs(lhs).max()), float(np.abs(rhs).max()))
     if scale == 0.0:
         return 0.0
@@ -151,6 +161,8 @@ def commutation_residuals(l1: complex, l2: complex, theta: complex,
     Cartan relations ak, bk, ck, dk), each value the max-abs residual of
     LHS - RHS divided by the larger of the two side norms.
     """
+    import numpy as np
+
     if abs(s(l1 - l2)) <= EPS_SEP:
         raise CoincidentSpectral("exchange relations need separated arguments")
     g = params.gamma
@@ -235,6 +247,8 @@ def cbb_residual(n: int, lambdas, theta: complex,
     families with re-indexed creation strings.  The residual is the vector
     2-norm of the difference over the largest participating term norm.
     """
+    import numpy as np
+
     L = params.L
     if not 1 <= n <= L + 1:
         raise BadLength(f"string length {n} outside 1..{L + 1}")
@@ -248,9 +262,11 @@ def cbb_residual(n: int, lambdas, theta: complex,
     g = params.gamma
 
     lhs = creation_string(params, lam[1:], theta, list(range(n)))
-    lhs = apply_monodromy_entry("C", lam[0], theta + g, params, lhs)
+    lhs = np.asarray(apply_monodromy_entry("C", lam[0], theta + g, params,
+                                           lhs))
 
-    terms = [c * creation_string(params, args, theta, list(range(1, n)))
+    terms = [c * np.asarray(creation_string(params, args, theta,
+                                            list(range(1, n))))
              for c, args in exchange_terms(lam, theta, params, n)]
 
     rhs = np.sum(np.stack(terms), axis=0) if terms else np.zeros_like(lhs)
@@ -270,13 +286,16 @@ def nilpotency_norm(params: ModelParams, lambdas) -> float:
     returned value is the 2-norm of the result divided by the product of the
     factors' max-abs matrix norms, and should vanish to rounding.
     """
+    import numpy as np
+
     L = params.L
     if len(lambdas) != L + 1:
         raise BadLength(f"expected {L + 1} spectral values, got {len(lambdas)}")
     if L > 6:
         raise TooLarge("nilpotency check materializes matrices; L capped at 6")
     lam = [complex(z) for z in lambdas]
-    v = creation_string(params, lam, params.theta, list(range(L + 1)))
+    v = np.asarray(creation_string(params, lam, params.theta,
+                                   list(range(L + 1))))
     scale = 1.0
     for j in range(L + 1):
         m = monodromy_entry("B", lam[j], params.theta + j * params.gamma,
@@ -289,12 +308,15 @@ def nilpotency_norm(params: ModelParams, lambdas) -> float:
 
 def cartan_string_residual(params: ModelParams, lambdas, n: int) -> float:
     """Check that an n-fold creation string lowers the total spin to L - 2n."""
+    import numpy as np
+
     L = params.L
     if not 0 <= n <= L:
         raise BadLength(f"string length {n} outside 0..{L}")
     if len(lambdas) != n:
         raise BadLength(f"expected {n} spectral values, got {len(lambdas)}")
-    v = creation_string(params, list(lambdas), params.theta, list(range(n)))
+    v = np.asarray(creation_string(params, list(lambdas), params.theta,
+                                   list(range(n))))
     norm = float(np.linalg.norm(v))
     if norm == 0.0:
         return 0.0
@@ -304,11 +326,13 @@ def cartan_string_residual(params: ModelParams, lambdas, n: int) -> float:
 
 def lowest_weight_residual(params: ModelParams, lambdas) -> float:
     """How far an L-fold creation string is from the all-down direction."""
+    import numpy as np
+
     L = params.L
     if len(lambdas) != L:
         raise BadLength(f"expected {L} spectral values, got {len(lambdas)}")
-    v = creation_string(params, list(lambdas), params.theta,
-                        list(range(L)))
+    v = np.asarray(creation_string(params, list(lambdas), params.theta,
+                                   list(range(L))))
     norm = float(np.linalg.norm(v))
     if norm == 0.0:
         return 0.0

@@ -184,6 +184,17 @@ class TestComputeCommand:
         capsys.readouterr()
         assert code == 1
 
+    @pytest.mark.parametrize("tol", [-1, 0, -0.0, -1e-9])
+    def test_compute_exit_2_on_nonpositive_tolerance(self, tmp_path, capsys,
+                                                     tol):
+        path = write_cfg(tmp_path, tolerances={"route_agreement": tol})
+        code = main(["compute", "--config", path, "--json", "--no-timings"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        payload = json.loads(captured.err)
+        assert payload["error"]["type"] == "ConfigError"
+        assert "tolerances.route_agreement" in payload["error"]["message"]
+
     def test_compute_exit_2_on_unknown_config_key(self, tmp_path, capsys):
         path = write_cfg(tmp_path, whatever=3)
         code = main(["compute", "--config", path, "--json"])

@@ -2,6 +2,7 @@
 
 import cmath
 import itertools
+import json
 import math
 import os
 import random
@@ -239,13 +240,52 @@ class TestClosePair:
         assert close_pair((0.0, 0.1), abs(s(0.1)) * 0.999) is None
 
 
-def test_exact_routes_import_without_numpy():
+NUMPY_FREE_SUITES = ("hexagon", "functional", "zeroes", "symmetry", "degree",
+                     "asymptotic", "ode")
+
+
+def _numpy_loaded_after(probe: str) -> bool:
+    """Run a probe in a fresh interpreter; report whether it loaded numpy.
+
+    The probe may call ``run(*argv)``, which runs ``cli.main`` and asserts
+    exit code 0.
+    """
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    probe = ("import sys, sosdw\n"
-             "assert [m for m in sys.modules if m.startswith('sosdw.')] == []\n"
-             "import sosdw.closed_form\n"
-             "assert 'numpy' not in sys.modules\n")
+    probe = ("import contextlib, io, sys\n"
+             "def run(*argv):\n"
+             "    from sosdw import cli\n"
+             "    with contextlib.redirect_stdout(io.StringIO()):\n"
+             "        assert cli.main(list(argv)) == 0, argv\n"
+             + probe + "\nprint('numpy' in sys.modules)\n")
     proc = subprocess.run([sys.executable, "-c", probe], env=env,
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()[-1] == "True"
+
+
+def test_exact_routes_import_without_numpy(tmp_path):
+    def job(routes):
+        path = tmp_path / f"{len(routes)}.json"
+        path.write_text(json.dumps({
+            "L": 3, "gamma": {"re": 0.31, "im": 0.12},
+            "theta": {"re": 0.57, "im": -0.08},
+            "mu": [{"re": 0.13, "im": -0.21}, {"re": -0.22, "im": 0.15},
+                   {"re": 0.05, "im": 0.3}],
+            "lambda": [{"re": 0.41, "im": 0.05}, {"re": 0.18, "im": -0.27},
+                       {"re": -0.3, "im": 0.1}],
+            "routes": list(routes)}))
+        return f"run('compute', '--config', {str(path)!r})\n"
+
+    assert not _numpy_loaded_after(
+        "import importlib, pkgutil, sosdw\n"
+        "assert [m for m in sys.modules if m.startswith('sosdw.')] == []\n"
+        "for mod in pkgutil.iter_modules(sosdw.__path__):\n"
+        "    importlib.import_module(f'sosdw.{mod.name}')\n"
+        + job(("face", "algebra", "permutation", "residue"))
+        + "".join(f"run('verify', '--suite', {name!r}, '--draws', '2')\n"
+                  for name in NUMPY_FREE_SUITES))
+    # The quadrature route and the dense checks still run, on numpy.
+    assert _numpy_loaded_after(job(("residue", "quadrature")))
+    assert _numpy_loaded_after(
+        "run('verify', '--suite', 'dybe', '--draws', '2')")

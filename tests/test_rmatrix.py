@@ -10,11 +10,10 @@ from hypothesis import strategies as st
 
 from sosdw.core import ModelParams, SingularTheta, s
 from sosdw.rmatrix import (
-    SWAP,
-    TOTAL_SPIN,
     dybe_residual,
     ice_residual,
     r_matrix,
+    two_site_operators,
     unitarity_residual,
     weights,
 )
@@ -94,6 +93,7 @@ class TestMatrixStructure:
             assert r[entry] == val, entry
 
     def test_swap_and_spin_constants(self):
+        SWAP, TOTAL_SPIN = two_site_operators()
         assert np.array_equal(SWAP @ SWAP, np.eye(4))
         assert np.array_equal(np.diag(TOTAL_SPIN), [2, 0, 0, -2])
 

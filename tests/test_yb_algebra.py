@@ -1,5 +1,7 @@
 """Row-operator algebra: exchange relations and the operator-level recursion."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from sosdw.closed_form import partition_L1, partition_permutation_sum
 from sosdw.rmatrix import weights
 from sosdw.sampling import draw_model, draw_spectral, first_admissible
 from sosdw.yb_algebra import (
+    apply_monodromy_entry,
     cartan_h,
     cartan_string_residual,
     cbb_residual,
@@ -96,6 +99,38 @@ class TestAlgebraicPartition:
         with pytest.raises(TooLarge):
             partition_algebraic(params, tuple(0.03 * k + 0.1j
                                               for k in range(11)))
+
+
+# float.hex of (re, im) of partition_algebraic on the draw
+# draw_model(random.Random(L), L, routes=("algebra",)), recorded while the
+# state vector was still a numpy array.
+ALGEBRA_HEX = {
+    1: ("-0x1.f7080979cd567p+0", "-0x1.5aa929dcd5f63p+0"),
+    2: ("-0x1.10d8db7a084dcp+1", "0x1.fc20e3b2adfb2p+1"),
+    3: ("-0x1.7aa7916857e62p+2", "-0x1.33973c137addap+4"),
+    4: ("0x1.731c5eec61e67p+1", "0x1.d73d7a0775acbp+1"),
+    5: ("0x1.25a1de4bfab7cp-1", "0x1.8a69b2e9ed0e1p-2"),
+    6: ("-0x1.1f87f7c3ff82ap+7", "-0x1.4b96036af59c2p+7"),
+}
+
+
+class TestListPropagation:
+    @pytest.mark.parametrize("L", sorted(ALGEBRA_HEX))
+    def test_partition_bits_unchanged(self, L):
+        params, lams = draw_model(random.Random(L), L, routes=("algebra",))
+        z = partition_algebraic(params, lams)
+        assert (z.real.hex(), z.imag.hex()) == ALGEBRA_HEX[L]
+
+    def test_list_and_array_inputs_agree(self, rng):
+        params, lams = draw_model(rng, 3, routes=("algebra",))
+        vec = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+               for _ in range(8)]
+        vec[5] = 0j
+        for which in "ABCD":
+            args = (which, lams[0], params.theta, params)
+            from_list = apply_monodromy_entry(*args, vec)
+            from_array = apply_monodromy_entry(*args, np.array(vec))
+            assert type(from_list) is list and from_list == from_array
 
 
 class TestExchangeRelations:
