@@ -13,6 +13,7 @@ source expression independently.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 from .core import (
@@ -41,20 +42,17 @@ def _evaluator(params: ModelParams, route: str):
     return lambda lams: evaluate(params, lams, None)[0]
 
 
-def _den_spectral(z: complex) -> complex:
+def _den(error: type, what: str, z: complex) -> complex:
+    """sinh(z) as a denominator; raises ``error`` when it is numerically 0."""
     v = s(z)
     if abs(v) < 1e-13:
-        raise CoincidentSpectral(
-            "spectral-difference denominator is numerically zero"
-        )
+        raise error(f"{what} denominator is numerically zero")
     return v
 
 
-def _den_theta(z: complex) -> complex:
-    v = s(z)
-    if abs(v) < 1e-13:
-        raise SingularTheta("dynamical denominator is numerically zero")
-    return v
+_den_spectral = functools.partial(_den, CoincidentSpectral,
+                                  "spectral-difference")
+_den_theta = functools.partial(_den, SingularTheta, "dynamical")
 
 
 def coeff_M(i: int, lambdas, theta: complex, params: ModelParams,

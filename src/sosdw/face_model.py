@@ -43,11 +43,32 @@ _PATTERNS = {
 }
 
 
-def face_weight(k_bl: int, k_br: int, k_tl: int, k_tr: int, lam: complex,
-                params: ModelParams) -> complex:
+class VertexTables(dict):
+    """The weight tables of one vertex, keyed by its top-left offset k_tl.
+
+    Each table is ``weights(lam, theta + (k_tl + 1) * gamma, params)``,
+    built the first time an offset is read, so an evaluation builds one
+    table per (vertex, k_tl) it visits and none it does not.
+    """
+
+    def __init__(self, lam: complex, params: ModelParams):
+        super().__init__()
+        self.lam = lam
+        self.params = params
+
+    def __missing__(self, k_tl: int) -> dict:
+        p = self.params
+        theta_loc = p.theta + (k_tl + 1) * p.gamma
+        table = self[k_tl] = weights(self.lam, theta_loc, p)
+        return table
+
+
+def face_weight(k_bl: int, k_br: int, k_tl: int, k_tr: int,
+                tables: VertexTables) -> complex:
     """Statistical weight of one vertex, given the offsets of its four faces.
 
-    The dynamical argument is one height step above the top-left face,
+    ``tables`` holds the vertex's weight tables by top-left offset.  The
+    dynamical argument is one height step above the top-left face,
     theta_loc = theta + (k_tl + 1) * gamma.  This uniform anchoring is the
     one under which the six-pattern dictionary satisfies the local
     star-triangle relation for every admissible boundary, and under which
@@ -62,8 +83,7 @@ def face_weight(k_bl: int, k_br: int, k_tl: int, k_tr: int, lam: complex,
             f"no admissible weight for face offsets (bl, br, tl, tr) = "
             f"{(k_bl, k_br, k_tl, k_tr)}"
         ) from None
-    theta_loc = params.theta + (k_tl + 1) * params.gamma
-    return weights(lam, theta_loc, params)[entry]
+    return tables[k_tl][entry]
 
 
 def enumerate_height_grids(L: int):
@@ -97,28 +117,25 @@ def enumerate_height_grids(L: int):
     yield from rec(0)
 
 
-def count_configurations(L: int) -> int:
-    """Number of admissible domain-wall configurations."""
-    return sum(1 for _ in enumerate_height_grids(L))
-
-
 def enumerate_partition(params: ModelParams, lambdas) -> complex:
     """Partition function by summing the weight of every configuration.
 
     Weight products run over vertices in row-major order, and the sum over
-    configurations is a balanced pairwise sum.
+    configurations is a balanced pairwise sum.  Each vertex's tables are
+    built once for the whole sum.
     """
     L = params.L
     check_size(params, "face")
     lams = validate(params, lambdas, "face")
-    mu = params.mu
+    tables = [[VertexTables(lam - m, params) for m in params.mu]
+              for lam in lams]
     terms = []
     for grid in enumerate_height_grids(L):
         w = 1.0 + 0j
-        for r, (lower, upper) in enumerate(zip(grid, grid[1:])):
+        for lower, upper, row in zip(grid, grid[1:], tables):
             for c in range(L):
                 w *= face_weight(lower[c], lower[c + 1], upper[c],
-                                 upper[c + 1], lams[r] - mu[c], params)
+                                 upper[c + 1], row[c])
         terms.append(w)
     return pairwise_sum(terms)
 
@@ -145,19 +162,20 @@ def hexagon_residual(u, v, ks, params) -> float:
             opts &= {nb - 1, nb + 1}
         return sorted(opts)
 
+    tu, tv, tuv = (VertexTables(x, params) for x in (u, v, u + v))
     lhs_terms = []
     for k0 in candidates(k2, k4, k6):
         lhs_terms.append(
-            face_weight(k3, k4, k2, k0, v, params)
-            * face_weight(k2, k0, k1, k6, u + v, params)
-            * face_weight(k0, k4, k6, k5, u, params)
+            face_weight(k3, k4, k2, k0, tv)
+            * face_weight(k2, k0, k1, k6, tuv)
+            * face_weight(k0, k4, k6, k5, tu)
         )
     rhs_terms = []
     for k0 in candidates(k1, k3, k5):
         rhs_terms.append(
-            face_weight(k2, k3, k1, k0, u, params)
-            * face_weight(k3, k4, k0, k5, u + v, params)
-            * face_weight(k0, k5, k1, k6, v, params)
+            face_weight(k2, k3, k1, k0, tu)
+            * face_weight(k3, k4, k0, k5, tuv)
+            * face_weight(k0, k5, k1, k6, tv)
         )
     scale = max(abs(t) for t in lhs_terms + rhs_terms)
     diff = abs(pairwise_sum(lhs_terms) - pairwise_sum(rhs_terms))

@@ -65,10 +65,14 @@ def apply_monodromy_entry(which: str, lam: complex, theta: complex,
             amps[(aux_in, b)] = complex(vec[b])
     for i in range(L, 0, -1):
         shift = L - i
+        tables = {}  # by spin sum to the right: at most shift + 1 of them
         new = {}
         for (a, b), amp in amps.items():
             hsum = shift - 2 * (b & ((1 << shift) - 1)).bit_count()
-            w = weights(lam - mu[i - 1], theta - g * hsum, params)
+            w = tables.get(hsum)
+            if w is None:
+                w = tables[hsum] = weights(lam - mu[i - 1], theta - g * hsum,
+                                           params)
             col = 2 * a + ((b >> shift) & 1)
             for (row, c), val in w.items():
                 if c != col:
@@ -305,37 +309,3 @@ def nilpotency_norm(params: ModelParams, lambdas) -> float:
         return float(np.linalg.norm(v))
     return float(np.linalg.norm(v)) / scale
 
-
-def cartan_string_residual(params: ModelParams, lambdas, n: int) -> float:
-    """Check that an n-fold creation string lowers the total spin to L - 2n."""
-    import numpy as np
-
-    L = params.L
-    if not 0 <= n <= L:
-        raise BadLength(f"string length {n} outside 0..{L}")
-    if len(lambdas) != n:
-        raise BadLength(f"expected {n} spectral values, got {len(lambdas)}")
-    v = np.asarray(creation_string(params, list(lambdas), params.theta,
-                                   list(range(n))))
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        return 0.0
-    h = cartan_h(L)
-    return float(np.linalg.norm(h * v - (L - 2 * n) * v)) / norm
-
-
-def lowest_weight_residual(params: ModelParams, lambdas) -> float:
-    """How far an L-fold creation string is from the all-down direction."""
-    import numpy as np
-
-    L = params.L
-    if len(lambdas) != L:
-        raise BadLength(f"expected {L} spectral values, got {len(lambdas)}")
-    v = np.asarray(creation_string(params, list(lambdas), params.theta,
-                                   list(range(L))))
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        return 0.0
-    rest = v.copy()
-    rest[-1] = 0.0
-    return float(np.linalg.norm(rest)) / norm

@@ -4,18 +4,20 @@ import itertools
 
 import pytest
 
+from sosdw import face_model
 from sosdw.core import (
     ROUTE_TABLE,
     ModelParams,
     TooLarge,
     ValidationError,
     face_cap,
+    pairwise_sum,
 )
 from sosdw.closed_form import partition_L1, partition_permutation_sum
 from sosdw.face_model import (
     InvalidBoundary,
     InvalidQuartet,
-    count_configurations,
+    VertexTables,
     enumerate_height_grids,
     enumerate_partition,
     face_weight,
@@ -41,6 +43,78 @@ SIX = {
     (1, 0, 0, 1): (1, 2),
     (-1, 0, 0, -1): (2, 1),
 }
+# The same map keyed by (k_br - k_bl, k_tl - k_bl, k_tr - k_bl).
+ENTRY = {(br - bl, tl - bl, tr - bl): e for (bl, br, tl, tr), e in SIX.items()}
+
+
+def fresh_face_weight(k_bl, k_br, k_tl, k_tr, lam, params):
+    """Oracle: one vertex weight read off a table built for this read alone."""
+    entry = ENTRY[(k_br - k_bl, k_tl - k_bl, k_tr - k_bl)]
+    th_loc = params.theta + (k_tl + 1) * params.gamma
+    return weights(lam, th_loc, params)[entry]
+
+
+def fresh_enumerate_partition(params, lams):
+    """Oracle: the face sum with a fresh weight table at every vertex read,
+    products in row-major order and one pairwise sum over configurations."""
+    L = params.L
+    terms = []
+    for grid in enumerate_height_grids(L):
+        w = 1.0 + 0j
+        for r, (lower, upper) in enumerate(zip(grid, grid[1:])):
+            for c in range(L):
+                w *= fresh_face_weight(lower[c], lower[c + 1], upper[c],
+                                       upper[c + 1], lams[r] - params.mu[c],
+                                       params)
+        terms.append(w)
+    return pairwise_sum(terms)
+
+
+def fresh_hexagon_residual(u, v, ks, params):
+    """Oracle: the star-triangle residual with a fresh table per read."""
+    k1, k2, k3, k4, k5, k6 = ks
+    fw = fresh_face_weight
+
+    def candidates(*neighbours):
+        return sorted(set.intersection(*({nb - 1, nb + 1}
+                                          for nb in neighbours)))
+
+    lhs = [fw(k3, k4, k2, k0, v, params) * fw(k2, k0, k1, k6, u + v, params)
+           * fw(k0, k4, k6, k5, u, params) for k0 in candidates(k2, k4, k6)]
+    rhs = [fw(k2, k3, k1, k0, u, params) * fw(k3, k4, k0, k5, u + v, params)
+           * fw(k0, k5, k1, k6, v, params) for k0 in candidates(k1, k3, k5)]
+    scale = max(abs(t) for t in lhs + rhs)
+    if scale == 0.0:
+        return 0.0
+    return abs(pairwise_sum(lhs) - pairwise_sum(rhs)) / scale
+
+
+def count_configurations(L):
+    """Oracle: number of admissible domain-wall configurations."""
+    return sum(1 for _ in enumerate_height_grids(L))
+
+
+def random_hexagon_boundary(rng):
+    """Six offsets in a closed cycle of unit steps."""
+    while True:
+        ks = [rng.randint(-2, 2)]
+        for _ in range(5):
+            ks.append(ks[-1] + rng.choice((-1, 1)))
+        if abs(ks[-1] - ks[0]) == 1:
+            return ks
+
+
+def counting(monkeypatch, name):
+    """Count the calls that face_model makes to one of its globals."""
+    calls = []
+    orig = getattr(face_model, name)
+
+    def counted(*args):
+        calls.append(args)
+        return orig(*args)
+
+    monkeypatch.setattr(face_model, name, counted)
+    return calls
 
 
 def unit_steps(grid):
@@ -55,33 +129,34 @@ class TestQuartetDictionary:
     def test_six_patterns(self):
         for (bl, br, tl, tr), entry in SIX.items():
             th_loc = P.theta + (tl + 1) * P.gamma
-            got = face_weight(bl, br, tl, tr, LAM, P)
+            got = face_weight(bl, br, tl, tr, VertexTables(LAM, P))
             assert got == weights(LAM, th_loc, P)[entry], (bl, br, tl, tr)
 
     def test_translation_invariance(self):
         # shifting all four offsets keeps the pattern and moves the anchor
         for (bl, br, tl, tr), entry in SIX.items():
             th_loc = P.theta + (tl + 6) * P.gamma
-            got = face_weight(bl + 5, br + 5, tl + 5, tr + 5, LAM, P)
+            got = face_weight(bl + 5, br + 5, tl + 5, tr + 5,
+                              VertexTables(LAM, P))
             assert got == weights(LAM, th_loc, P)[entry], (bl, br, tl, tr)
 
     def test_step_of_two_rejected(self):
         with pytest.raises(InvalidQuartet):
-            face_weight(0, 2, 1, 1, LAM, P)
+            face_weight(0, 2, 1, 1, VertexTables(LAM, P))
 
     def test_constant_quartet_rejected(self):
         with pytest.raises(InvalidQuartet):
-            face_weight(0, 0, 0, 0, LAM, P)
+            face_weight(0, 0, 0, 0, VertexTables(LAM, P))
 
     def test_every_non_unit_step_rejected(self):
         # the pattern lookup alone enforces the unit-step rule on all four
         # edges: every other quartet raises
         for br, tl, tr in itertools.product(range(-3, 4), repeat=3):
             if unit_steps(((0, br), (tl, tr))):
-                face_weight(0, br, tl, tr, LAM, P)
+                face_weight(0, br, tl, tr, VertexTables(LAM, P))
             else:
                 with pytest.raises(InvalidQuartet):
-                    face_weight(0, br, tl, tr, LAM, P)
+                    face_weight(0, br, tl, tr, VertexTables(LAM, P))
 
 
 class TestFaceWeightValues:
@@ -90,18 +165,68 @@ class TestFaceWeightValues:
 
     def test_straight_cell(self):
         w = weights(LAM, P.theta, P)
-        assert face_weight(0, 1, -1, 0, LAM, P) == w[(0, 0)]
+        assert face_weight(0, 1, -1, 0, VertexTables(LAM, P)) == w[(0, 0)]
 
     def test_exchange_cell(self):
         w = weights(LAM, P.theta, P)
-        assert face_weight(0, -1, -1, 0, LAM, P) == w[(1, 2)]
+        assert face_weight(0, -1, -1, 0, VertexTables(LAM, P)) == w[(1, 2)]
 
     def test_anchor_is_one_step_above_top_left(self):
         for tl in range(-3, 4):
             # the c- quartet, whose weight depends on the anchor
             th_loc = P.theta + (tl + 1) * P.gamma
-            got = face_weight(tl - 1, tl, tl, tl - 1, LAM, P)
+            got = face_weight(tl - 1, tl, tl, tl - 1, VertexTables(LAM, P))
             assert got == weights(LAM, th_loc, P)[(2, 1)], tl
+
+
+class TestWeightTables:
+    """Each evaluation builds a vertex's table once per top-left offset and
+    reads the same numbers, in the same order, as a fresh table per read."""
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 4])
+    def test_partition_bit_identical_to_fresh_tables(self, rng, L):
+        for _ in range(3):
+            params, lams = draw_model(rng, L, routes=("face",))
+            assert enumerate_partition(params, lams) \
+                == fresh_enumerate_partition(params, lams)
+
+    def test_hexagon_bit_identical_to_fresh_tables(self, rng):
+        for _ in range(40):
+            ks = random_hexagon_boundary(rng)
+            u = complex(rng.uniform(-1, 1), rng.uniform(-0.6, 0.6))
+            v = complex(rng.uniform(-1, 1), rng.uniform(-0.6, 0.6))
+            assert hexagon_residual(u, v, ks, P) \
+                == fresh_hexagon_residual(u, v, ks, P)
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 4, 5])
+    def test_one_table_per_vertex_and_offset(self, rng, monkeypatch, L):
+        params, lams = draw_model(rng, L, routes=("face",))
+        built = counting(monkeypatch, "weights")
+        read = counting(monkeypatch, "face_weight")
+        enumerate_partition(params, lams)
+        assert len(built) <= L * L * (L + 1)
+        assert len(set(built)) == len(built)
+        # every vertex of every configuration is still read one by one
+        assert len(read) == count_configurations(L) * L * L
+
+    def test_hexagon_builds_each_table_once(self, rng, monkeypatch):
+        built = counting(monkeypatch, "weights")
+        read = counting(monkeypatch, "face_weight")
+        for _ in range(20):
+            hexagon_residual(0.23 - 0.11j, -0.37 + 0.19j,
+                             random_hexagon_boundary(rng), P)
+            assert len(set(built)) == len(built) <= len(read)
+            built.clear()
+            read.clear()
+
+    def test_tables_fill_only_on_read(self):
+        tables = VertexTables(LAM, P)
+        with pytest.raises(InvalidQuartet):
+            face_weight(0, 2, 1, 1, tables)
+        assert tables == {}
+        face_weight(2, 3, 3, 2, tables)
+        assert list(tables) == [3]
+        assert tables[3] == weights(LAM, P.theta + 4 * P.gamma, P)
 
 
 class TestBoundary:
@@ -197,12 +322,7 @@ class TestHexagonIdentity:
 
     def test_random_boundaries(self, rng):
         for _ in range(60):
-            while True:
-                ks = [rng.randint(-2, 2)]
-                for _ in range(5):
-                    ks.append(ks[-1] + rng.choice((-1, 1)))
-                if abs(ks[-1] - ks[0]) == 1:
-                    break
+            ks = random_hexagon_boundary(rng)
             u = complex(rng.uniform(-1, 1), rng.uniform(-0.6, 0.6))
             v = complex(rng.uniform(-1, 1), rng.uniform(-0.6, 0.6))
             assert hexagon_residual(u, v, ks, self.P) < 1e-12

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from sosdw import yb_algebra
 from sosdw.core import (
     CoincidentSpectral,
     ModelParams,
@@ -18,11 +19,9 @@ from sosdw.sampling import draw_model, draw_spectral, first_admissible
 from sosdw.yb_algebra import (
     apply_monodromy_entry,
     cartan_h,
-    cartan_string_residual,
     cbb_residual,
     commutation_residuals,
     creation_string,
-    lowest_weight_residual,
     monodromy_entry,
     nilpotency_norm,
     partition_algebraic,
@@ -31,6 +30,68 @@ from sosdw.yb_algebra import (
 
 P2 = ModelParams(gamma=0.31 + 0.12j, theta=0.57 - 0.08j,
                  mu=(0.13 - 0.21j, -0.22 + 0.15j), L=2)
+
+
+def fresh_apply(which, lam, theta, params, vec):
+    """Oracle: one monodromy entry applied with a fresh weight table built
+    for every amplitude at every site."""
+    L, g, mu = params.L, params.gamma, params.mu
+    aux_out, aux_in = {"A": (0, 0), "B": (0, 1), "C": (1, 0),
+                       "D": (1, 1)}[which]
+    amps = {(aux_in, b): complex(v) for b, v in enumerate(vec) if v != 0}
+    for i in range(L, 0, -1):
+        shift = L - i
+        new = {}
+        for (a, b), amp in amps.items():
+            hsum = shift - 2 * (b & ((1 << shift) - 1)).bit_count()
+            w = weights(lam - mu[i - 1], theta - g * hsum, params)
+            col = 2 * a + ((b >> shift) & 1)
+            for (row, c), val in w.items():
+                if c != col:
+                    continue
+                key = (row >> 1, (b & ~(1 << shift)) | ((row & 1) << shift))
+                prev = new.get(key)
+                new[key] = amp * val if prev is None else prev + amp * val
+        amps = new
+    out = [0j] * (1 << L)
+    for (a, b), amp in amps.items():
+        if a == aux_out:
+            out[b] += amp
+    return out
+
+
+def fresh_partition(params, lams):
+    """Oracle: the all-down amplitude of the creation string, applied with
+    ``fresh_apply``."""
+    v, _ = vacuum_states(params.L)
+    for j in reversed(range(params.L)):
+        v = fresh_apply("B", lams[j], params.theta + (j + 1) * params.gamma,
+                        params, v)
+    return v[-1]
+
+
+def cartan_string_residual(params, lambdas, n):
+    """Oracle: how far an n-fold creation string is from total spin L - 2n."""
+    L = params.L
+    v = np.asarray(creation_string(params, list(lambdas), params.theta,
+                                   list(range(n))))
+    norm = float(np.linalg.norm(v))
+    if norm == 0.0:
+        return 0.0
+    return float(np.linalg.norm(cartan_h(L) * v - (L - 2 * n) * v)) / norm
+
+
+def lowest_weight_residual(params, lambdas):
+    """Oracle: how far an L-fold creation string is from the all-down
+    direction."""
+    v = np.asarray(creation_string(params, list(lambdas), params.theta,
+                                   list(range(params.L))))
+    norm = float(np.linalg.norm(v))
+    if norm == 0.0:
+        return 0.0
+    rest = v.copy()
+    rest[-1] = 0.0
+    return float(np.linalg.norm(rest)) / norm
 
 
 def separated(rng, n, floor=1e-2):
@@ -131,6 +192,44 @@ class TestListPropagation:
             from_list = apply_monodromy_entry(*args, vec)
             from_array = apply_monodromy_entry(*args, np.array(vec))
             assert type(from_list) is list and from_list == from_array
+
+
+class TestSiteTables:
+    """Each site builds one weight table per spin sum to its right and reads
+    the same numbers, in the same order, as a fresh table per amplitude."""
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 4, 5, 6])
+    def test_partition_bit_identical_to_fresh_tables(self, rng, L):
+        for _ in range(3):
+            params, lams = draw_model(rng, L, routes=("algebra",))
+            assert partition_algebraic(params, lams) \
+                == fresh_partition(params, lams)
+
+    @pytest.mark.parametrize("L", [1, 3, 5])
+    def test_every_entry_bit_identical_to_fresh_tables(self, rng, L):
+        params, lams = draw_model(rng, L, routes=("algebra",))
+        vec = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+               for _ in range(1 << L)]
+        for which in "ABCD":
+            args = (which, lams[0], params.theta + params.gamma, params, vec)
+            assert apply_monodromy_entry(*args) == fresh_apply(*args)
+
+    @pytest.mark.parametrize("L", [1, 2, 4, 6])
+    def test_at_most_one_table_per_site_and_shift(self, rng, monkeypatch, L):
+        params, lams = draw_model(rng, L, routes=("algebra",))
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return weights(*args)
+
+        monkeypatch.setattr(yb_algebra, "weights", counted)
+        full = [1 + 0j] * (1 << L)
+        for which in "ABCD":
+            built.clear()
+            apply_monodromy_entry(which, lams[0], params.theta, params, full)
+            assert len(built) <= L * (L + 1)
+            assert len(set(built)) == len(built)
 
 
 class TestExchangeRelations:
