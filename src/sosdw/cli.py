@@ -342,16 +342,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
+    except (ValidationError, NumericalError) as exc:
         print(json.dumps({"error": {"type": type(exc).__name__,
                                     "message": str(exc)}}),
               file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(json.dumps({"error": {"type": type(exc).__name__,
-                                    "message": str(exc)}}),
-              file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ValidationError) else 1
 
 
 if __name__ == "__main__":

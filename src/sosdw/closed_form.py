@@ -23,7 +23,6 @@ from .core import (
     BadLength,
     CoincidentInhomogeneity,
     CoincidentSpectral,
-    DerivedVariables,
     ModelParams,
     NumericalError,
     SingularTheta,
@@ -182,7 +181,7 @@ def _permutation_terms(params: ModelParams, lambdas) -> list:
     sites = [[site(p, lam) for lam in lams] for p in range(L)]
     lratio = [[s(lams[b] - lams[a] + g) / s(lams[b] - lams[a]) if b != a
                else 0j for a in range(L)] for b in range(L)]
-    return ordering_terms(sites, lratio, range(L))
+    return ordering_terms(sites, lratio)
 
 
 def partition_permutation_sum(params: ModelParams, lambdas) -> complex:
@@ -204,14 +203,6 @@ def permutation_condition(params: ModelParams, lambdas) -> float:
     if abs(val) == 0.0:
         return float("inf") if top > 0.0 else 1.0
     return top / abs(val)
-
-
-def partition_L1(params: ModelParams, lam: complex) -> complex:
-    """One-row partition function in closed form."""
-    validate(params, (lam,), "permutation")
-    g = params.gamma
-    th = params.theta
-    return s(g) * s(th + g - lam + params.mu[0]) / s(th + g)
 
 
 def functional_equation_residual(params: ModelParams, lambdas,
@@ -297,8 +288,9 @@ def asymptotic_leading_coefficient(params: ModelParams) -> complex:
     in each x_i = xbar_i^2; this returns its closed-form top coefficient.
     """
     L = params.L
-    d = DerivedVariables.build(params)
-    q, t, ubar = d.q, d.t, d.ubar
+    q = cmath.exp(params.gamma)
+    t = cmath.exp(params.theta)
+    ubar = [cmath.exp(m) for m in params.mu]
     denom = 1.0 + 0j
     for n in range(1, L + 1):
         f = 1.0 - q ** (2 * n) * t ** 2
@@ -375,9 +367,12 @@ def ode_residual_L1(x: complex, params: ModelParams) -> float:
     """
     if params.L != 1:
         raise BadLength("the differential equation applies to one row only")
-    d = DerivedVariables.build(params)
-    q, t = d.q, d.t
-    u, ub = d.u[0], d.ubar[0]
+    q = cmath.exp(params.gamma)
+    t = cmath.exp(params.theta)
+    # u is the exact square of ubar, so half-integer powers of u go
+    # through ubar.
+    ub = cmath.exp(params.mu[0])
+    u = ub * ub
     pole = 1.0 - q ** 2 * t ** 2
     if abs(pole) <= EPS_SING:
         raise SingularTheta("1 - q^2 t^2 is numerically zero")

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 from .core import (
-    BadLength,
     ModelParams,
     NoConvergence,
     SinhOverflow,
@@ -118,8 +117,8 @@ def _pair(wi, wj, g: complex, sinh=s):
     return sinh(wj - wi + g) * sinh(wj - wi)
 
 
-def _residue_terms(params: ModelParams, lams, enclosed):
-    """Residue contributions over injective pole assignments.
+def _residue_terms(params: ModelParams, lams):
+    """Residue contributions over assignments of variables to distinct poles.
 
     Variable j at pole a contributes its integrand factor over the other
     poles' denominators prod_{b != a} sinh(lambda_a - lambda_b).
@@ -131,7 +130,7 @@ def _residue_terms(params: ModelParams, lams, enclosed):
             for j in range(L)]
     pair = [[_pair(lams[a], lams[b], params.gamma) for a in range(L)]
             for b in range(L)]
-    return ordering_terms(site, pair, enclosed)
+    return ordering_terms(site, pair)
 
 
 def partition_residue(params: ModelParams, lambdas) -> complex:
@@ -140,25 +139,11 @@ def partition_residue(params: ModelParams, lambdas) -> complex:
     Each integration variable picks up the simple pole at one distinct
     spectral parameter (the residue of 1/sinh at its zero is 1); repeated
     assignments die against the vanishing pair factor, leaving a sum over
-    injective assignments.
+    the L! assignments of variables to distinct poles.
     """
     check_size(params, "residue")
-    return partition_residue_partial(params, lambdas, range(params.L))
-
-
-def partition_residue_partial(params: ModelParams, lambdas,
-                              enclosed) -> complex:
-    """Residue sum restricted to poles inside a smaller contour.
-
-    With fewer enclosed poles than integration variables there is no
-    injective assignment and the value is exactly zero, mirroring what the
-    quadrature over such a contour converges to.
-    """
     lams = validate(params, lambdas, "residue")
-    enc = tuple(sorted(set(int(k) for k in enclosed)))
-    if any(k < 0 or k >= params.L for k in enc):
-        raise BadLength("enclosed pole indices outside the spectral vector")
-    terms = _residue_terms(params, lams, enc)
+    terms = _residue_terms(params, lams)
     return s(params.gamma) ** params.L * pairwise_sum(terms)
 
 
@@ -199,22 +184,6 @@ def tensor_quadrature(params: ModelParams, lambdas, spec: ContourSpec,
     return complex(slot[0] @ pair @ slot[1])
 
 
-def _doubling(params: ModelParams, lams, spec: ContourSpec, max_nodes: int):
-    """Yield (nodes, value) from spec.nodes up, doubling to max_nodes."""
-    nodes = spec.nodes
-    while nodes <= max_nodes:
-        yield nodes, tensor_quadrature(params, lams, spec, nodes)
-        nodes *= 2
-
-
-def quadrature_convergence(params: ModelParams, lambdas, spec: ContourSpec,
-                           max_nodes: int = MAX_NODES):
-    """Values under node doubling, as (nodes, value) pairs."""
-    lams = validate(params, lambdas, "quadrature")
-    check_contour(spec, lams)
-    return list(_doubling(params, lams, spec, max_nodes))
-
-
 def partition_quadrature_info(params: ModelParams, lambdas,
                               spec: ContourSpec | None = None):
     """Quadrature route returning (value, accepted node count).
@@ -228,11 +197,13 @@ def partition_quadrature_info(params: ModelParams, lambdas,
     if spec is None:
         spec = auto_contour(lams)
     check_contour(spec, lams)
-    prev = None
-    for nodes, val in _doubling(params, lams, spec, MAX_NODES):
-        if prev is not None:
-            if abs(val - prev) <= 1e-10 * max(abs(val), abs(prev)):
-                return val, nodes
+    nodes = spec.nodes
+    prev = tensor_quadrature(params, lams, spec, nodes)
+    while 2 * nodes <= MAX_NODES:
+        nodes *= 2
+        val = tensor_quadrature(params, lams, spec, nodes)
+        if abs(val - prev) <= 1e-10 * max(abs(val), abs(prev)):
+            return val, nodes
         prev = val
     raise NoConvergence(
         f"quadrature still moving after {MAX_NODES} nodes per variable"

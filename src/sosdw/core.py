@@ -94,18 +94,17 @@ def pairwise_sum(values) -> complex:
     return vals[0]
 
 
-def ordering_terms(site, pair, elements) -> list:
-    """One product per ordering a of len(site) distinct entries of elements.
+def ordering_terms(site, pair) -> list:
+    """One product per ordering a of range(len(site)).
 
     The term of ``a`` is prod_p site[p][a_p] times prod_{p<m} pair[a_m][a_p],
     the site factors multiplied position by position, then the pair factors
-    for p = 0.. and m = p+1.. in turn.  With fewer elements than positions
-    there is no ordering and the list is empty.  Both L! routes sum these
-    terms, each over its own factor tables.
+    for p = 0.. and m = p+1.. in turn.  Both L! routes sum these terms, each
+    over its own factor tables.
     """
     L = len(site)
     terms = []
-    for a in itertools.permutations(elements, L):
+    for a in itertools.permutations(range(L)):
         v = 1.0 + 0j
         for p in range(L):
             v *= site[p][a[p]]
@@ -154,31 +153,6 @@ class ModelParams:
             raise DegenerateGamma(
                 "sinh(gamma) is numerically zero; the model degenerates"
             )
-
-
-@dataclass(frozen=True)
-class DerivedVariables:
-    """Exponentiated variables shared by the asymptotic and ODE checks.
-
-    ``u[i]`` is constructed as ``ubar[i] ** 2`` from a single exponential
-    evaluation, so the two agree bit-exactly and half-integer powers of u
-    are always expressed through ubar.
-    """
-
-    q: complex
-    t: complex
-    ubar: tuple
-    u: tuple
-
-    @classmethod
-    def build(cls, params: ModelParams) -> "DerivedVariables":
-        ubar = tuple(cmath.exp(m) for m in params.mu)
-        return cls(
-            q=cmath.exp(params.gamma),
-            t=cmath.exp(params.theta),
-            ubar=ubar,
-            u=tuple(v * v for v in ubar),
-        )
 
 
 def face_cap() -> int:

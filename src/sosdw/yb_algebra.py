@@ -19,6 +19,7 @@ checks import it, in their own bodies.
 from __future__ import annotations
 
 import cmath
+import functools
 
 from .closed_form import exchange_terms
 from .core import (
@@ -175,6 +176,9 @@ def commutation_residuals(l1: complex, l2: complex, theta: complex,
     t = cmath.exp(theta)
     kvec = q ** cartan_h(L)
 
+    # The relations reuse entries: 17 distinct matrices among 28 uses.
+    # Every use reads its matrix without writing to it.
+    @functools.cache
     def mat(which, lam, th):
         return monodromy_entry(which, lam, th, params)
 

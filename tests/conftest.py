@@ -4,13 +4,42 @@ import random
 
 import pytest
 
-from sosdw.core import ModelParams
+from sosdw.contour import check_contour, tensor_quadrature
+from sosdw.core import ModelParams, s
 from sosdw.sampling import draw_model
 
 
 @pytest.fixture
 def rng():
     return random.Random(20260822)
+
+
+@pytest.fixture
+def partition_L1():
+    """Oracle: the one-row partition function in closed form."""
+    def value(params, lam):
+        g = params.gamma
+        th = params.theta
+        return s(g) * s(th + g - lam + params.mu[0]) / s(th + g)
+    return value
+
+
+@pytest.fixture
+def quadrature_convergence():
+    """Oracle: quadrature values under node doubling, as (nodes, value).
+
+    Starts at ``spec.nodes`` and doubles up to ``max_nodes``.
+    """
+    def values(params, lambdas, spec, max_nodes):
+        check_contour(spec, lambdas)
+        pairs = []
+        nodes = spec.nodes
+        while nodes <= max_nodes:
+            pairs.append(
+                (nodes, tensor_quadrature(params, lambdas, spec, nodes)))
+            nodes *= 2
+        return pairs
+    return values
 
 
 @pytest.fixture

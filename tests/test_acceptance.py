@@ -27,7 +27,6 @@ from sosdw.contour import (
     check_contour,
     partition_residue,
     partition_quadrature_info,
-    quadrature_convergence,
 )
 from sosdw.core import ValidationError
 from sosdw.face_model import enumerate_partition
@@ -78,7 +77,7 @@ def _auto_contour_legal(lams) -> bool:
     return True
 
 
-def test_criterion_2_quadrature():
+def test_criterion_2_quadrature(quadrature_convergence):
     worst_rel = 0.0
     ratio_ok = True
     for L in (1, 2, 3):

@@ -25,7 +25,6 @@ from sosdw.closed_form import (
     leading_coefficient_interpolated,
     mu_symmetry_residual,
     ode_residual_L1,
-    partition_L1,
     partition_permutation_sum,
     permutation_condition,
     q_factorial,
@@ -87,7 +86,7 @@ def polynomial_route(poly):
 
 
 class TestPermutationSum:
-    def test_single_row_reduction(self, rng):
+    def test_single_row_reduction(self, rng, partition_L1):
         for _ in range(100):
             params, lams = draw_model(rng, 1)
             zc = partition_L1(params, lams[0])

@@ -16,8 +16,6 @@ from sosdw.contour import (
     partition_quadrature,
     partition_quadrature_info,
     partition_residue,
-    partition_residue_partial,
-    quadrature_convergence,
     tensor_quadrature,
 )
 from sosdw.sampling import draw_model
@@ -78,16 +76,6 @@ class TestResidueSum:
             zp = partition_permutation_sum(params, lams)
             assert abs(zr - zp) <= 1e-12 * max(abs(zr), abs(zp))
 
-    def test_partial_with_all_poles_is_full(self, rng):
-        params, lams = draw_model(rng, 2, routes=("residue",))
-        full = partition_residue(params, lams)
-        part = partition_residue_partial(params, lams, (0, 1))
-        assert part == full
-
-    def test_partial_with_too_few_poles_vanishes(self, rng):
-        params, lams = draw_model(rng, 2, routes=("residue",))
-        assert partition_residue_partial(params, lams, (0,)) == 0j
-
     def test_size_cap(self):
         params = ModelParams(gamma=0.3, theta=0.5,
                              mu=tuple(0.11 * k for k in range(9)), L=9)
@@ -113,7 +101,8 @@ class TestQuadrature:
         assert zq == zi
 
     @pytest.mark.parametrize("L", [2, 3])
-    def test_geometric_node_doubling(self, rng, L):
+    def test_geometric_node_doubling(self, rng, L,
+                                     quadrature_convergence):
         params, lams = draw_clustered(rng, L)
         zr = partition_residue(params, lams)
         spec = auto_contour(lams)
@@ -126,17 +115,15 @@ class TestQuadrature:
         assert errs[-1][1] < 1e-10
 
     def test_partial_contour_quadrature_tracks_enclosed_residues(self, rng):
-        # a circle around only the first pole converges to that pole's
-        # residue sum, so deforming the contour changes the value by
-        # exactly the residues crossed
+        # a circle around only the first pole encloses fewer poles than
+        # variables: no assignment of variables to distinct enclosed poles
+        # exists, so the integral vanishes
         params, lams = draw_model(
             rng, 2, routes=("residue", "quadrature"),
             predicate=lambda p, lams: 1.2 < abs(lams[0] - lams[1]) < 2.4)
         spec = ContourSpec(center=lams[0], radius=0.4, nodes=256)
         check_contour(spec, (lams[0],))
-        got = tensor_quadrature(params, lams, spec, 256)
-        want = partition_residue_partial(params, lams, (0,))
-        assert abs(got - want) < 1e-8
+        assert abs(tensor_quadrature(params, lams, spec, 256)) < 1e-8
 
     def test_fixed_node_determinism(self, rng):
         params, lams = draw_clustered(rng, 2)
@@ -154,7 +141,5 @@ class TestQuadrature:
         spec = auto_contour(lams, nodes=16)
         with pytest.raises(TooLarge):
             partition_quadrature(params, lams)
-        with pytest.raises(TooLarge):
-            quadrature_convergence(params, lams, spec, max_nodes=16)
         with pytest.raises(TooLarge):
             tensor_quadrature(params, lams, spec, 16)

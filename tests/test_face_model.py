@@ -13,7 +13,7 @@ from sosdw.core import (
     face_cap,
     pairwise_sum,
 )
-from sosdw.closed_form import partition_L1, partition_permutation_sum
+from sosdw.closed_form import partition_permutation_sum
 from sosdw.face_model import (
     InvalidBoundary,
     InvalidQuartet,
@@ -263,7 +263,7 @@ class TestEnumeration:
             assert all(type(k) is int for row in grid for k in row)
             assert unit_steps(grid)
 
-    def test_single_row_equals_closed_form(self, rng):
+    def test_single_row_equals_closed_form(self, rng, partition_L1):
         for _ in range(100):
             params, lams = draw_model(rng, 1, routes=("face", "permutation"))
             zf = enumerate_partition(params, lams)

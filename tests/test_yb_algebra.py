@@ -13,7 +13,7 @@ from sosdw.core import (
     close_pair,
     s,
 )
-from sosdw.closed_form import partition_L1, partition_permutation_sum
+from sosdw.closed_form import partition_permutation_sum
 from sosdw.rmatrix import weights
 from sosdw.sampling import draw_model, draw_spectral, first_admissible
 from sosdw.yb_algebra import (
@@ -146,7 +146,7 @@ class TestAlgebraicPartition:
             zp = partition_permutation_sum(params, lams)
             assert abs(za - zp) <= 1e-12 * max(abs(za), abs(zp))
 
-    def test_single_row_closed_form(self, rng):
+    def test_single_row_closed_form(self, rng, partition_L1):
         for _ in range(20):
             params, lams = draw_model(rng, 1, routes=("algebra",
                                                       "permutation"))
@@ -251,6 +251,25 @@ class TestExchangeRelations:
     def test_coincident_arguments_rejected(self):
         with pytest.raises(CoincidentSpectral):
             commutation_residuals(0.4, 0.4, 0.57 - 0.08j, P2)
+
+    def test_each_distinct_entry_is_built_once(self, monkeypatch):
+        # 28 matrix uses, 17 distinct (entry, lambda, theta); the cache
+        # leaves every residual bit-identical
+        calls = []
+        build = yb_algebra.monodromy_entry
+
+        def counted(*args):
+            calls.append(args[:3])
+            return build(*args)
+
+        monkeypatch.setattr(yb_algebra, "monodromy_entry", counted)
+        args = (0.21 - 0.13j, -0.34 + 0.08j, 0.57 - 0.08j, P2)
+        cached = commutation_residuals(*args)
+        assert len(calls) == len(set(calls)) == 17
+        calls.clear()
+        monkeypatch.setattr(yb_algebra.functools, "cache", lambda f: f)
+        assert commutation_residuals(*args) == cached
+        assert len(calls) == 28
 
 
 class TestOperatorRecursion:
