@@ -21,7 +21,6 @@ from .core import (
     EPS_SING,
     ROUTE_TABLE,
     BadLength,
-    CoincidentInhomogeneity,
     CoincidentSpectral,
     ModelParams,
     NumericalError,
@@ -234,10 +233,11 @@ def special_zero_residual(params: ModelParams, lambdas,
                           route: str = "permutation") -> float:
     """|Z| at the pinned pair, relative to |Z| at nearby generic points.
 
-    The first two spectral parameters must be mu_1 and mu_1 - gamma.  If a
-    coincidence guard rejects the exact pinned evaluation, the pins are
-    offset and the limit is recovered by Richardson extrapolation over
-    offsets 1e-7 and 5e-8.
+    The first two spectral parameters must be mu_1 and mu_1 - gamma.  If the
+    spectral coincidence guard rejects the exact pinned evaluation, the pins
+    are offset and the limit is recovered by Richardson extrapolation over
+    offsets 1e-7 and 5e-8.  Coincident inhomogeneities do not move with the
+    pins, so their error is raised at once.
     """
     L = params.L
     if L < 2:
@@ -259,7 +259,7 @@ def special_zero_residual(params: ModelParams, lambdas,
 
     try:
         value = pinned(0.0)
-    except (CoincidentSpectral, CoincidentInhomogeneity):
+    except CoincidentSpectral:
         value = 2.0 * pinned(5e-8) - pinned(1e-7)
 
     generic_shifts = ((0.37 + 0.11j, -0.29 + 0.07j),

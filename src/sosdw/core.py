@@ -138,7 +138,8 @@ class ModelParams:
         object.__setattr__(self, "gamma", complex(self.gamma))
         object.__setattr__(self, "theta", complex(self.theta))
         object.__setattr__(self, "mu", tuple(complex(m) for m in self.mu))
-        object.__setattr__(self, "L", int(self.L))
+        if isinstance(self.L, bool) or not isinstance(self.L, int):
+            raise BadLength(f"system size must be an integer, got {self.L!r}")
         if self.L < 1:
             raise BadLength(f"system size must be at least 1, got {self.L}")
         if len(self.mu) != self.L:

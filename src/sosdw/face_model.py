@@ -19,7 +19,7 @@ from .core import (
     pairwise_sum,
     validate,
 )
-from .rmatrix import weights
+from .rmatrix import WeightTables
 
 
 class InvalidQuartet(ValidationError):
@@ -43,33 +43,14 @@ _PATTERNS = {
 }
 
 
-class VertexTables(dict):
-    """The weight tables of one vertex, keyed by its top-left offset k_tl.
-
-    Each table is ``weights(lam, theta + (k_tl + 1) * gamma, params)``,
-    built the first time an offset is read, so an evaluation builds one
-    table per (vertex, k_tl) it visits and none it does not.
-    """
-
-    def __init__(self, lam: complex, params: ModelParams):
-        super().__init__()
-        self.lam = lam
-        self.params = params
-
-    def __missing__(self, k_tl: int) -> dict:
-        p = self.params
-        theta_loc = p.theta + (k_tl + 1) * p.gamma
-        table = self[k_tl] = weights(self.lam, theta_loc, p)
-        return table
-
-
 def face_weight(k_bl: int, k_br: int, k_tl: int, k_tr: int,
-                tables: VertexTables) -> complex:
+                tables: WeightTables) -> complex:
     """Statistical weight of one vertex, given the offsets of its four faces.
 
-    ``tables`` holds the vertex's weight tables by top-left offset.  The
-    dynamical argument is one height step above the top-left face,
-    theta_loc = theta + (k_tl + 1) * gamma.  This uniform anchoring is the
+    ``tables`` is the vertex's ``WeightTables`` at base height theta, read
+    at offset k_tl + 1: the dynamical argument is one height step above the
+    top-left face, theta_loc = theta + (k_tl + 1) * gamma.  Each table is
+    built on first read, once per evaluation.  This uniform anchoring is the
     one under which the six-pattern dictionary satisfies the local
     star-triangle relation for every admissible boundary, and under which
     the enumeration below agrees with the algebraic and closed-form routes
@@ -83,7 +64,7 @@ def face_weight(k_bl: int, k_br: int, k_tl: int, k_tr: int,
             f"no admissible weight for face offsets (bl, br, tl, tr) = "
             f"{(k_bl, k_br, k_tl, k_tr)}"
         ) from None
-    return tables[k_tl][entry]
+    return tables[k_tl + 1][entry]
 
 
 def enumerate_height_grids(L: int):
@@ -127,7 +108,7 @@ def enumerate_partition(params: ModelParams, lambdas) -> complex:
     L = params.L
     check_size(params, "face")
     lams = validate(params, lambdas, "face")
-    tables = [[VertexTables(lam - m, params) for m in params.mu]
+    tables = [[WeightTables(lam - m, params.theta, params) for m in params.mu]
               for lam in lams]
     terms = []
     for grid in enumerate_height_grids(L):
@@ -162,7 +143,8 @@ def hexagon_residual(u, v, ks, params) -> float:
             opts &= {nb - 1, nb + 1}
         return sorted(opts)
 
-    tu, tv, tuv = (VertexTables(x, params) for x in (u, v, u + v))
+    tu, tv, tuv = (WeightTables(x, params.theta, params)
+                   for x in (u, v, u + v))
     lhs_terms = []
     for k0 in candidates(k2, k4, k6):
         lhs_terms.append(

@@ -42,6 +42,24 @@ def weights(lam: complex, theta: complex, params: ModelParams) -> dict:
     }
 
 
+class WeightTables(dict):
+    """The weight tables at one spectral argument, keyed by height offset.
+
+    Entry n is ``weights(lam, theta + n * gamma, params)``, built the first
+    time n is read.  The face route, the monodromy entries and the DYBE
+    check all read their weights through this one type.
+    """
+
+    def __init__(self, lam: complex, theta: complex, params: ModelParams):
+        super().__init__()
+        self.lam, self.theta, self.params = lam, theta, params
+
+    def __missing__(self, n: int) -> dict:
+        p = self.params
+        table = self[n] = weights(self.lam, self.theta + n * p.gamma, p)
+        return table
+
+
 def r_matrix(lam: complex, theta: complex, params: ModelParams):
     """The 4x4 R-matrix; only the six ice-rule entries are nonzero."""
     import numpy as np
@@ -66,25 +84,19 @@ def _embedded_r(lam, theta, params, pair, branch=None):
 
     ``pair`` gives the (first, second) site indices in 0..2.  When ``branch``
     names the spectator site, the dynamical argument is theta - gamma * h
-    with h = +1/-1 the spectator spin, resolved separately on each basis
-    state.
+    with h = +1/-1 the spectator spin (bit 0/1), resolved separately on
+    each basis state.
     """
     import numpy as np
 
     p, q = pair
     m = np.zeros((8, 8), dtype=complex)
-    cache = {}
+    tables = WeightTables(lam, theta, params)
     for b in range(8):
         bits = ((b >> 2) & 1, (b >> 1) & 1, b & 1)
-        if branch is None:
-            key = None
-        else:
-            key = bits[branch]
-        if key not in cache:
-            th = theta if branch is None else theta - params.gamma * (1 - 2 * key)
-            cache[key] = weights(lam, th, params)
+        w = tables[0 if branch is None else 2 * bits[branch] - 1]
         col = 2 * bits[p] + bits[q]
-        for (row, c), val in cache[key].items():
+        for (row, c), val in w.items():
             if c != col:
                 continue
             nb = list(bits)

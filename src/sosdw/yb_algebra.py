@@ -34,7 +34,7 @@ from .core import (
     s,
     validate,
 )
-from .rmatrix import weights
+from .rmatrix import WeightTables
 
 
 class SingularKFactor(ValidationError):
@@ -45,37 +45,24 @@ class SingularKFactor(ValidationError):
 _AUX = {"A": (0, 0), "B": (0, 1), "C": (1, 0), "D": (1, 1)}
 
 
-def apply_monodromy_entry(which: str, lam: complex, theta: complex,
-                          params: ModelParams, vec) -> list:
-    """Apply one monodromy entry to a quantum-space vector.
+def _propagate(which: str, sites: list, vec) -> list:
+    """Push ``vec`` through the chain factors, site L first.
 
-    ``vec`` is any sequence of 2^L amplitudes; the result is a new list.
-
-    ``theta`` is the dynamical argument of the whole row operator; the
-    per-site shifts are resolved internally.
+    ``sites[i - 1]`` holds the ``WeightTables`` of site i, each read at
+    offset -hsum, hsum the total spin to the site's right on a basis state.
     """
     if which not in _AUX:
         raise ValueError("monodromy entry must be one of A, B, C, D")
-    L = params.L
-    g = params.gamma
-    mu = params.mu
+    L = len(sites)
     aux_out, aux_in = _AUX[which]
-    amps = {}
-    for b in range(1 << L):
-        if vec[b] != 0:
-            amps[(aux_in, b)] = complex(vec[b])
-    for i in range(L, 0, -1):
-        shift = L - i
-        tables = {}  # by spin sum to the right: at most shift + 1 of them
+    amps = {(aux_in, b): complex(vec[b])
+            for b in range(1 << L) if vec[b] != 0}
+    for shift, tables in enumerate(reversed(sites)):
         new = {}
         for (a, b), amp in amps.items():
             hsum = shift - 2 * (b & ((1 << shift) - 1)).bit_count()
-            w = tables.get(hsum)
-            if w is None:
-                w = tables[hsum] = weights(lam - mu[i - 1], theta - g * hsum,
-                                           params)
             col = 2 * a + ((b >> shift) & 1)
-            for (row, c), val in w.items():
+            for (row, c), val in tables[-hsum].items():
                 if c != col:
                     continue
                 key = (row >> 1, (b & ~(1 << shift)) | ((row & 1) << shift))
@@ -89,17 +76,34 @@ def apply_monodromy_entry(which: str, lam: complex, theta: complex,
     return out
 
 
+def apply_monodromy_entry(which: str, lam: complex, theta: complex,
+                          params: ModelParams, vec) -> list:
+    """Apply one monodromy entry to a quantum-space vector.
+
+    ``vec`` is any sequence of 2^L amplitudes; the result is a new list.
+
+    ``theta`` is the dynamical argument of the whole row operator; the
+    per-site shifts are resolved internally.
+    """
+    sites = [WeightTables(lam - m, theta, params) for m in params.mu]
+    return _propagate(which, sites, vec)
+
+
 def monodromy_entry(which: str, lam: complex, theta: complex,
                     params: ModelParams):
-    """One of the four row-operator entries as a dense 2^L x 2^L matrix."""
+    """One of the four row-operator entries as a dense 2^L x 2^L matrix.
+
+    The site tables are built once and shared by every basis column.
+    """
     import numpy as np
 
+    sites = [WeightTables(lam - m, theta, params) for m in params.mu]
     dim = 1 << params.L
     m = np.zeros((dim, dim), dtype=complex)
     for b in range(dim):
         e = [0j] * dim
         e[b] = 1 + 0j
-        m[:, b] = apply_monodromy_entry(which, lam, theta, params, e)
+        m[:, b] = _propagate(which, sites, e)
     return m
 
 

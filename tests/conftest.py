@@ -6,7 +6,6 @@ import pytest
 
 from sosdw.contour import check_contour, tensor_quadrature
 from sosdw.core import ModelParams, s
-from sosdw.sampling import draw_model
 
 
 @pytest.fixture
@@ -55,9 +54,3 @@ def complex_params_l2():
     params = ModelParams(gamma=0.31 + 0.12j, theta=0.57 - 0.08j,
                          mu=(0.13 - 0.21j, -0.22 + 0.15j), L=2)
     return params, (0.41 + 0.05j, 0.18 - 0.27j)
-
-
-def draw_all_routes(rng, L):
-    """Parameters valid for every exact route at once."""
-    return draw_model(rng, L,
-                      routes=("face", "permutation", "algebra", "residue"))

@@ -11,6 +11,7 @@ import pytest
 from sosdw import closed_form
 from sosdw.core import (
     BadLength,
+    CoincidentInhomogeneity,
     CoincidentSpectral,
     ModelParams,
     NumericalError,
@@ -187,6 +188,23 @@ class TestAnalyticStructure:
             free = draw_spectral(rng, L - 2)
             lams = (params.mu[0], params.mu[0] - params.gamma) + free
             assert special_zero_residual(params, lams, route) < 1e-9
+
+    def test_special_zero_coincident_inhomogeneities_fail_once(
+            self, monkeypatch):
+        # the pins do not move mu, so an offset retry would fail the same way
+        calls = []
+        make = closed_form._evaluator
+
+        def counting(params, route):
+            ev = make(params, route)
+            return lambda lams: calls.append(lams) or ev(lams)
+
+        monkeypatch.setattr(closed_form, "_evaluator", counting)
+        g, mu = 0.31 + 0.12j, 0.13 - 0.21j
+        params = ModelParams(gamma=g, theta=0.57 - 0.08j, mu=(mu, mu), L=2)
+        with pytest.raises(CoincidentInhomogeneity):
+            special_zero_residual(params, (mu, mu - g), "permutation")
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("L", [1, 2, 3, 4])
     def test_degree_in_each_variable(self, rng, L):

@@ -113,6 +113,11 @@ class TestModelParams:
         with pytest.raises(BadLength):
             ModelParams(gamma=0.3, theta=0.5, mu=(), L=0)
 
+    @pytest.mark.parametrize("size", [2.5, 2.0, "2", True])
+    def test_non_integer_size_rejected(self, size):
+        with pytest.raises(BadLength, match="integer"):
+            ModelParams(gamma=0.3, theta=0.5, mu=(0.1, 0.2), L=size)
+
     def test_degenerate_gamma_zero(self):
         with pytest.raises(DegenerateGamma):
             ModelParams(gamma=0.0, theta=0.5, mu=(0.1,), L=1)

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from sosdw import face_model
+from sosdw import face_model, rmatrix
 from sosdw.core import (
     ROUTE_TABLE,
     ModelParams,
@@ -17,13 +17,12 @@ from sosdw.closed_form import partition_permutation_sum
 from sosdw.face_model import (
     InvalidBoundary,
     InvalidQuartet,
-    VertexTables,
     enumerate_height_grids,
     enumerate_partition,
     face_weight,
     hexagon_residual,
 )
-from sosdw.rmatrix import weights
+from sosdw.rmatrix import WeightTables, weights
 from sosdw.sampling import draw_model
 
 REFERENCE_VALUE = 0.018805557352697261 + 0j
@@ -45,6 +44,11 @@ SIX = {
 }
 # The same map keyed by (k_br - k_bl, k_tl - k_bl, k_tr - k_bl).
 ENTRY = {(br - bl, tl - bl, tr - bl): e for (bl, br, tl, tr), e in SIX.items()}
+
+
+def lam_tables():
+    """Empty weight tables at LAM and the base height of P."""
+    return WeightTables(LAM, P.theta, P)
 
 
 def fresh_face_weight(k_bl, k_br, k_tl, k_tr, lam, params):
@@ -104,16 +108,16 @@ def random_hexagon_boundary(rng):
             return ks
 
 
-def counting(monkeypatch, name):
-    """Count the calls that face_model makes to one of its globals."""
+def counting(monkeypatch, module, name):
+    """Count the calls made to one global of a sosdw module."""
     calls = []
-    orig = getattr(face_model, name)
+    orig = getattr(module, name)
 
     def counted(*args):
         calls.append(args)
         return orig(*args)
 
-    monkeypatch.setattr(face_model, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -129,7 +133,7 @@ class TestQuartetDictionary:
     def test_six_patterns(self):
         for (bl, br, tl, tr), entry in SIX.items():
             th_loc = P.theta + (tl + 1) * P.gamma
-            got = face_weight(bl, br, tl, tr, VertexTables(LAM, P))
+            got = face_weight(bl, br, tl, tr, lam_tables())
             assert got == weights(LAM, th_loc, P)[entry], (bl, br, tl, tr)
 
     def test_translation_invariance(self):
@@ -137,26 +141,26 @@ class TestQuartetDictionary:
         for (bl, br, tl, tr), entry in SIX.items():
             th_loc = P.theta + (tl + 6) * P.gamma
             got = face_weight(bl + 5, br + 5, tl + 5, tr + 5,
-                              VertexTables(LAM, P))
+                              lam_tables())
             assert got == weights(LAM, th_loc, P)[entry], (bl, br, tl, tr)
 
     def test_step_of_two_rejected(self):
         with pytest.raises(InvalidQuartet):
-            face_weight(0, 2, 1, 1, VertexTables(LAM, P))
+            face_weight(0, 2, 1, 1, lam_tables())
 
     def test_constant_quartet_rejected(self):
         with pytest.raises(InvalidQuartet):
-            face_weight(0, 0, 0, 0, VertexTables(LAM, P))
+            face_weight(0, 0, 0, 0, lam_tables())
 
     def test_every_non_unit_step_rejected(self):
         # the pattern lookup alone enforces the unit-step rule on all four
         # edges: every other quartet raises
         for br, tl, tr in itertools.product(range(-3, 4), repeat=3):
             if unit_steps(((0, br), (tl, tr))):
-                face_weight(0, br, tl, tr, VertexTables(LAM, P))
+                face_weight(0, br, tl, tr, lam_tables())
             else:
                 with pytest.raises(InvalidQuartet):
-                    face_weight(0, br, tl, tr, VertexTables(LAM, P))
+                    face_weight(0, br, tl, tr, lam_tables())
 
 
 class TestFaceWeightValues:
@@ -165,17 +169,17 @@ class TestFaceWeightValues:
 
     def test_straight_cell(self):
         w = weights(LAM, P.theta, P)
-        assert face_weight(0, 1, -1, 0, VertexTables(LAM, P)) == w[(0, 0)]
+        assert face_weight(0, 1, -1, 0, lam_tables()) == w[(0, 0)]
 
     def test_exchange_cell(self):
         w = weights(LAM, P.theta, P)
-        assert face_weight(0, -1, -1, 0, VertexTables(LAM, P)) == w[(1, 2)]
+        assert face_weight(0, -1, -1, 0, lam_tables()) == w[(1, 2)]
 
     def test_anchor_is_one_step_above_top_left(self):
         for tl in range(-3, 4):
             # the c- quartet, whose weight depends on the anchor
             th_loc = P.theta + (tl + 1) * P.gamma
-            got = face_weight(tl - 1, tl, tl, tl - 1, VertexTables(LAM, P))
+            got = face_weight(tl - 1, tl, tl, tl - 1, lam_tables())
             assert got == weights(LAM, th_loc, P)[(2, 1)], tl
 
 
@@ -201,8 +205,8 @@ class TestWeightTables:
     @pytest.mark.parametrize("L", [1, 2, 3, 4, 5])
     def test_one_table_per_vertex_and_offset(self, rng, monkeypatch, L):
         params, lams = draw_model(rng, L, routes=("face",))
-        built = counting(monkeypatch, "weights")
-        read = counting(monkeypatch, "face_weight")
+        built = counting(monkeypatch, rmatrix, "weights")
+        read = counting(monkeypatch, face_model, "face_weight")
         enumerate_partition(params, lams)
         assert len(built) <= L * L * (L + 1)
         assert len(set(built)) == len(built)
@@ -210,8 +214,8 @@ class TestWeightTables:
         assert len(read) == count_configurations(L) * L * L
 
     def test_hexagon_builds_each_table_once(self, rng, monkeypatch):
-        built = counting(monkeypatch, "weights")
-        read = counting(monkeypatch, "face_weight")
+        built = counting(monkeypatch, rmatrix, "weights")
+        read = counting(monkeypatch, face_model, "face_weight")
         for _ in range(20):
             hexagon_residual(0.23 - 0.11j, -0.37 + 0.19j,
                              random_hexagon_boundary(rng), P)
@@ -220,13 +224,13 @@ class TestWeightTables:
             read.clear()
 
     def test_tables_fill_only_on_read(self):
-        tables = VertexTables(LAM, P)
+        tables = lam_tables()
         with pytest.raises(InvalidQuartet):
             face_weight(0, 2, 1, 1, tables)
         assert tables == {}
         face_weight(2, 3, 3, 2, tables)
-        assert list(tables) == [3]
-        assert tables[3] == weights(LAM, P.theta + 4 * P.gamma, P)
+        assert list(tables) == [4]
+        assert tables[4] == weights(LAM, P.theta + 4 * P.gamma, P)
 
 
 class TestBoundary:

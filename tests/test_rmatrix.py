@@ -8,8 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sosdw import rmatrix
 from sosdw.core import ModelParams, SingularTheta, s
 from sosdw.rmatrix import (
+    WeightTables,
+    _embedded_r,
     dybe_residual,
     ice_residual,
     r_matrix,
@@ -128,3 +131,50 @@ class TestIdentities:
             if abs(s(th)) < 1e-3:
                 continue
             assert ice_residual(lam, th, P1) == 0.0
+
+
+def fresh_embedded_r(lam, theta, params, pair, branch=None):
+    """Oracle: the embedded R-matrix with a fresh weight table per basis
+    state, at theta - gamma * h for spectator spin h = +1/-1."""
+    p, q = pair
+    m = np.zeros((8, 8), dtype=complex)
+    for b in range(8):
+        bits = ((b >> 2) & 1, (b >> 1) & 1, b & 1)
+        th = theta if branch is None \
+            else theta - params.gamma * (1 - 2 * bits[branch])
+        for (row, c), val in weights(lam, th, params).items():
+            if c == 2 * bits[p] + bits[q]:
+                nb = list(bits)
+                nb[p], nb[q] = row >> 1, row & 1
+                m[(nb[0] << 2) | (nb[1] << 1) | nb[2], b] += val
+    return m
+
+
+class TestWeightTables:
+    def test_entry_n_is_the_table_at_offset_n(self):
+        lam, th = 0.23 - 0.11j, 0.41 + 0.06j
+        tables = WeightTables(lam, th, P1)
+        assert tables == {}
+        for n in (2, -1, 0, 2):
+            assert tables[n] == weights(lam, th + n * P1.gamma, P1)
+        assert list(tables) == [2, -1, 0]
+
+    @pytest.mark.parametrize("pair, branch", [
+        ((0, 1), None), ((0, 2), None), ((1, 2), None),
+        ((0, 1), 2), ((0, 2), 1), ((1, 2), 0)])
+    def test_embedded_r_tables(self, monkeypatch, pair, branch):
+        # one table without a branch, one per spectator spin with one, and
+        # the same matrix as a fresh table per basis state
+        built = []
+        orig = rmatrix.weights
+
+        def counted(*args):
+            built.append(args)
+            return orig(*args)
+
+        monkeypatch.setattr(rmatrix, "weights", counted)
+        lam, th = 0.23 - 0.11j, 0.41 + 0.06j
+        got = _embedded_r(lam, th, P1, pair, branch)
+        assert len(built) == (1 if branch is None else 2)
+        assert np.array_equal(got, fresh_embedded_r(lam, th, P1, pair,
+                                                    branch))

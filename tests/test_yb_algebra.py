@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from sosdw import yb_algebra
+from sosdw import rmatrix, yb_algebra
 from sosdw.core import (
     CoincidentSpectral,
     ModelParams,
@@ -223,13 +223,38 @@ class TestSiteTables:
             built.append(args)
             return weights(*args)
 
-        monkeypatch.setattr(yb_algebra, "weights", counted)
+        monkeypatch.setattr(rmatrix, "weights", counted)
         full = [1 + 0j] * (1 << L)
         for which in "ABCD":
             built.clear()
             apply_monodromy_entry(which, lams[0], params.theta, params, full)
             assert len(built) <= L * (L + 1)
             assert len(set(built)) == len(built)
+
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 4])
+    def test_dense_entry_builds_site_tables_once(self, rng, monkeypatch, L):
+        # one table set for all 2^L basis columns, and every column the
+        # same as a fresh table per amplitude
+        params, lams = draw_model(rng, L, routes=("algebra",))
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return weights(*args)
+
+        monkeypatch.setattr(rmatrix, "weights", counted)
+        dim = 1 << L
+        for which in "ABCD":
+            built.clear()
+            m = monodromy_entry(which, lams[0], params.theta, params)
+            assert len(built) <= L * (L + 1)
+            assert len(set(built)) == len(built)
+            for b in range(dim):
+                e = [0j] * dim
+                e[b] = 1 + 0j
+                assert list(m[:, b]) == fresh_apply(which, lams[0],
+                                                    params.theta, params, e)
 
 
 class TestExchangeRelations:
