@@ -233,11 +233,9 @@ def special_zero_residual(params: ModelParams, lambdas,
                           route: str = "permutation") -> float:
     """|Z| at the pinned pair, relative to |Z| at nearby generic points.
 
-    The first two spectral parameters must be mu_1 and mu_1 - gamma.  If the
-    spectral coincidence guard rejects the exact pinned evaluation, the pins
-    are offset and the limit is recovered by Richardson extrapolation over
-    offsets 1e-7 and 5e-8.  Coincident inhomogeneities do not move with the
-    pins, so their error is raised at once.
+    The first two spectral parameters must be mu_1 and mu_1 - gamma; Z is
+    evaluated once at exactly those pins, and a coincidence guard that
+    rejects the evaluation raises its error.
     """
     L = params.L
     if L < 2:
@@ -252,15 +250,7 @@ def special_zero_residual(params: ModelParams, lambdas,
             "slots 1 and 2 must carry the pinned values mu_1 and mu_1-gamma"
         )
     ev = _evaluator(params, route)
-
-    def pinned(offset):
-        probe = [mu1 + offset, mu1 - g + offset] + lam[2:]
-        return ev(tuple(probe))
-
-    try:
-        value = pinned(0.0)
-    except CoincidentSpectral:
-        value = 2.0 * pinned(5e-8) - pinned(1e-7)
+    value = ev((mu1, mu1 - g, *lam[2:]))
 
     generic_shifts = ((0.37 + 0.11j, -0.29 + 0.07j),
                       (-0.23 + 0.09j, 0.31 - 0.12j))
@@ -430,9 +420,14 @@ def degree_residual(params: ModelParams, which: int,
     return max(sizes[L + 1:]) / max(sizes)
 
 
-def symmetry_residual(params: ModelParams, lambdas, i: int, j: int,
-                      route: str = "permutation") -> float:
-    """Relative change of the partition function under swapping two rows."""
+def swap_residual(params: ModelParams, lambdas, i: int, j: int,
+                  route: str = "permutation") -> float:
+    """The larger relative change of Z under a row swap and a column swap.
+
+    A row swap exchanges lambda_i and lambda_j; a column swap exchanges
+    mu_i and mu_j, which rebuilds the parameter object.  The unswapped
+    value is evaluated once and divides both changes.
+    """
     L = params.L
     if len(lambdas) != L:
         raise BadLength(f"expected {L} spectral values, got {len(lambdas)}")
@@ -442,35 +437,14 @@ def symmetry_residual(params: ModelParams, lambdas, i: int, j: int,
         return 0.0
     ev = _evaluator(params, route)
     lam = [complex(z) for z in lambdas]
-    swapped = list(lam)
-    swapped[i], swapped[j] = swapped[j], swapped[i]
     base = ev(tuple(lam))
     if base == 0:
-        raise NumericalError("symmetry probe hit a zero of the function")
-    return abs(ev(tuple(swapped)) - base) / abs(base)
-
-
-def mu_symmetry_residual(params: ModelParams, lambdas, i: int, j: int,
-                         route: str = "permutation") -> float:
-    """Relative change of the partition function under swapping two columns.
-
-    Unlike the row swap, exchanging inhomogeneities changes the parameter
-    object itself, so both evaluations are rebuilt from scratch through the
-    requested route.
-    """
-    L = params.L
-    if len(lambdas) != L:
-        raise BadLength(f"expected {L} spectral values, got {len(lambdas)}")
-    if not (0 <= i < L and 0 <= j < L):
-        raise BadLength("swap indices outside the inhomogeneity vector")
-    if i == j:
-        return 0.0
-    mu2 = list(params.mu)
-    mu2[i], mu2[j] = mu2[j], mu2[i]
-    params2 = ModelParams(gamma=params.gamma, theta=params.theta,
-                          mu=tuple(mu2), L=L)
-    base = _evaluator(params, route)(tuple(lambdas))
-    if base == 0:
-        raise NumericalError("column-swap probe hit a zero of the function")
-    other = _evaluator(params2, route)(tuple(lambdas))
-    return abs(other - base) / abs(base)
+        raise NumericalError("swap probe hit a zero of the function")
+    rows = list(lam)
+    rows[i], rows[j] = rows[j], rows[i]
+    mu = list(params.mu)
+    mu[i], mu[j] = mu[j], mu[i]
+    columns = ModelParams(gamma=params.gamma, theta=params.theta,
+                          mu=tuple(mu), L=L)
+    return max(abs(ev(tuple(rows)) - base),
+               abs(_evaluator(columns, route)(tuple(lam)) - base)) / abs(base)

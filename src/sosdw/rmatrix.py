@@ -46,8 +46,8 @@ class WeightTables(dict):
     """The weight tables at one spectral argument, keyed by height offset.
 
     Entry n is ``weights(lam, theta + n * gamma, params)``, built the first
-    time n is read.  The face route, the monodromy entries and the DYBE
-    check all read their weights through this one type.
+    time n is read.  The face route and the monodromy entries read their
+    weights through this one type.
     """
 
     def __init__(self, lam: complex, theta: complex, params: ModelParams):
@@ -70,39 +70,28 @@ def r_matrix(lam: complex, theta: complex, params: ModelParams):
     return m
 
 
-def two_site_operators():
-    """The swap operator on the two-site space and the total-spin diagonal."""
-    import numpy as np
-
-    swap = np.zeros((4, 4), dtype=complex)
-    swap[0, 0] = swap[3, 3] = swap[1, 2] = swap[2, 1] = 1.0
-    return swap, np.diag([2.0, 0.0, 0.0, -2.0]).astype(complex)
-
-
-def _embedded_r(lam, theta, params, pair, branch=None):
+def _embedded_r(lam, theta, params, pair, branched=False):
     """8x8 matrix of the R-matrix acting on two of three two-state sites.
 
-    ``pair`` gives the (first, second) site indices in 0..2.  When ``branch``
-    names the spectator site, the dynamical argument is theta - gamma * h
-    with h = +1/-1 the spectator spin (bit 0/1), resolved separately on
-    each basis state.
+    ``pair`` gives the (first, second) site indices in 0..2; the third site
+    is the spectator, and the block acts as the identity on it.  When
+    ``branched``, the dynamical argument is theta - gamma * h with h = +1/-1
+    the spectator spin (bit 0/1), one ``r_matrix`` block per spin.
     """
     import numpy as np
 
     p, q = pair
-    m = np.zeros((8, 8), dtype=complex)
-    tables = WeightTables(lam, theta, params)
-    for b in range(8):
-        bits = ((b >> 2) & 1, (b >> 1) & 1, b & 1)
-        w = tables[0 if branch is None else 2 * bits[branch] - 1]
-        col = 2 * bits[p] + bits[q]
-        for (row, c), val in w.items():
-            if c != col:
-                continue
-            nb = list(bits)
-            nb[p], nb[q] = row >> 1, row & 1
-            m[(nb[0] << 2) | (nb[1] << 1) | nb[2], b] += val
-    return m
+    if branched:
+        blocks = [r_matrix(lam, theta + n * params.gamma, params)
+                  for n in (-1, 1)]
+    else:
+        blocks = [r_matrix(lam, theta, params)] * 2
+    # axes (out bits, in bits) of sites 0..2; the view puts pair first
+    m = np.zeros((2,) * 6, dtype=complex)
+    view = m.transpose(p, q, 3 - p - q, 3 + p, 3 + q, 6 - p - q)
+    for h, block in enumerate(blocks):
+        view[:, :, h, :, :, h] = block.reshape(2, 2, 2, 2)
+    return m.reshape(8, 8)
 
 
 def dybe_residual(l1, l2, l3, theta, params) -> float:
@@ -117,11 +106,11 @@ def dybe_residual(l1, l2, l3, theta, params) -> float:
     import numpy as np
 
     l12, l13, l23 = l1 - l2, l1 - l3, l2 - l3
-    factors = ((_embedded_r(l12, theta, params, (0, 1), branch=2),
+    factors = ((_embedded_r(l12, theta, params, (0, 1), branched=True),
                 _embedded_r(l13, theta, params, (0, 2)),
-                _embedded_r(l23, theta, params, (1, 2), branch=0)),
+                _embedded_r(l23, theta, params, (1, 2), branched=True)),
                (_embedded_r(l23, theta, params, (1, 2)),
-                _embedded_r(l13, theta, params, (0, 2), branch=1),
+                _embedded_r(l13, theta, params, (0, 2), branched=True),
                 _embedded_r(l12, theta, params, (0, 1))))
     lhs, rhs = (a @ b @ c for a, b, c in factors)
     scale = np.linalg.norm(np.array(factors), 2, axis=(2, 3)).prod(1).max()
@@ -139,7 +128,7 @@ def unitarity_residual(lam, theta, params) -> float:
     """
     import numpy as np
 
-    swap, _ = two_site_operators()
+    swap = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
     g = params.gamma
     r1 = r_matrix(lam, theta, params)
     r2 = r_matrix(-lam, theta, params)
@@ -156,7 +145,7 @@ def ice_residual(lam, theta, params) -> float:
     """
     import numpy as np
 
-    _, spin = two_site_operators()
+    spin = np.diag([2.0, 0.0, 0.0, -2.0]).astype(complex)
     r = r_matrix(lam, theta, params)
     return (float(np.abs(r @ spin - spin @ r).max())
             / float(np.abs(r).max()))

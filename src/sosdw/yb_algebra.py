@@ -89,22 +89,28 @@ def apply_monodromy_entry(which: str, lam: complex, theta: complex,
     return _propagate(which, sites, vec)
 
 
-def monodromy_entry(which: str, lam: complex, theta: complex,
-                    params: ModelParams):
-    """One of the four row-operator entries as a dense 2^L x 2^L matrix.
+def _dense(which: str, sites: list):
+    """One monodromy entry as a dense matrix, one basis column at a time.
 
-    The site tables are built once and shared by every basis column.
+    ``sites`` holds the site ``WeightTables`` as for ``_propagate``; every
+    column reads the same tables.
     """
     import numpy as np
 
-    sites = [WeightTables(lam - m, theta, params) for m in params.mu]
-    dim = 1 << params.L
+    dim = 1 << len(sites)
     m = np.zeros((dim, dim), dtype=complex)
     for b in range(dim):
         e = [0j] * dim
         e[b] = 1 + 0j
         m[:, b] = _propagate(which, sites, e)
     return m
+
+
+def monodromy_entry(which: str, lam: complex, theta: complex,
+                    params: ModelParams):
+    """One of the four row-operator entries as a dense 2^L x 2^L matrix."""
+    return _dense(which, [WeightTables(lam - m, theta, params)
+                          for m in params.mu])
 
 
 def vacuum_states(L: int):
@@ -180,11 +186,16 @@ def commutation_residuals(l1: complex, l2: complex, theta: complex,
     t = cmath.exp(theta)
     kvec = q ** cartan_h(L)
 
-    # The relations reuse entries: 17 distinct matrices among 28 uses.
-    # Every use reads its matrix without writing to it.
+    # The relations reuse entries: 17 distinct matrices among 28 uses, and
+    # the entries at one (lam, theta) share their site tables.  Every use
+    # reads its matrix without writing to it.
+    @functools.cache
+    def sites(lam, th):
+        return [WeightTables(lam - m, th, params) for m in params.mu]
+
     @functools.cache
     def mat(which, lam, th):
-        return monodromy_entry(which, lam, th, params)
+        return _dense(which, sites(lam, th))
 
     def kcomb(c_inv, c_dir):
         return c_inv / kvec + c_dir * kvec
@@ -281,7 +292,7 @@ def cbb_residual(n: int, lambdas, theta: complex,
                                             list(range(1, n))))
              for c, args in exchange_terms(lam, theta, params, n)]
 
-    rhs = np.sum(np.stack(terms), axis=0) if terms else np.zeros_like(lhs)
+    rhs = np.sum(np.stack(terms), axis=0)
     scale = max(
         [float(np.linalg.norm(lhs))]
         + [float(np.linalg.norm(v)) for v in terms]

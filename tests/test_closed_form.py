@@ -24,13 +24,12 @@ from sosdw.closed_form import (
     degree_residual,
     functional_equation_residual,
     leading_coefficient_interpolated,
-    mu_symmetry_residual,
     ode_residual_L1,
     partition_permutation_sum,
     permutation_condition,
     q_factorial,
     special_zero_residual,
-    symmetry_residual,
+    swap_residual,
 )
 from sosdw.face_model import enumerate_partition
 from sosdw.sampling import draw_model, draw_spectral
@@ -189,9 +188,14 @@ class TestAnalyticStructure:
             lams = (params.mu[0], params.mu[0] - params.gamma) + free
             assert special_zero_residual(params, lams, route) < 1e-9
 
+    @pytest.mark.parametrize("mu, free, error", [
+        ((0.13 - 0.21j,) * 2, (), CoincidentInhomogeneity),
+        ((0.13 - 0.21j, -0.42 + 0.05j, 0.37 + 0.18j), (0.13 - 0.21j,),
+         CoincidentSpectral)], ids=["mu", "free"])
     def test_special_zero_coincident_inhomogeneities_fail_once(
-            self, monkeypatch):
-        # the pins do not move mu, so an offset retry would fail the same way
+            self, monkeypatch, mu, free, error):
+        # the pinned value is evaluated once, exactly at the pins, whether
+        # two inhomogeneities or a free value and the pin mu_1 coincide
         calls = []
         make = closed_form._evaluator
 
@@ -200,10 +204,11 @@ class TestAnalyticStructure:
             return lambda lams: calls.append(lams) or ev(lams)
 
         monkeypatch.setattr(closed_form, "_evaluator", counting)
-        g, mu = 0.31 + 0.12j, 0.13 - 0.21j
-        params = ModelParams(gamma=g, theta=0.57 - 0.08j, mu=(mu, mu), L=2)
-        with pytest.raises(CoincidentInhomogeneity):
-            special_zero_residual(params, (mu, mu - g), "permutation")
+        g = 0.31 + 0.12j
+        params = ModelParams(gamma=g, theta=0.57 - 0.08j, mu=mu, L=len(mu))
+        with pytest.raises(error):
+            special_zero_residual(params, (mu[0], mu[0] - g) + free,
+                                  "permutation")
         assert len(calls) == 1
 
     @pytest.mark.parametrize("L", [1, 2, 3, 4])
@@ -235,21 +240,42 @@ class TestAnalyticStructure:
         with pytest.raises(BadLength):
             degree_residual(params, 2)
 
-    @pytest.mark.parametrize("L", [2, 3])
-    def test_row_swap_symmetry(self, rng, L):
+    @pytest.mark.parametrize(
+        "route, L", [("permutation", 2), ("permutation", 3), ("face", 2),
+                     ("face", 3), ("face", 4)],
+        ids=["2", "3", "face-2", "face-3", "face-4"])
+    def test_row_swap_symmetry(self, rng, monkeypatch, route, L):
         for _ in range(5):
             params, lams = draw_model(rng, L, predicate=well_conditioned)
-            assert symmetry_residual(params, lams, 0, L - 1) < 1e-11
+            assert swap_residual(params, lams, 0, L - 1, route) < 1e-11
+        # a stand-in that reads only lambda_1 leaves the column swap at 0
+        monkeypatch.setattr(closed_form, "_evaluator",
+                            lambda params, route: lambda xs: 1 + xs[0])
+        assert swap_residual(params, lams, 0, L - 1) == \
+            abs(lams[L - 1] - lams[0]) / abs(1 + lams[0])
 
     @pytest.mark.parametrize(
         "route, L", [("permutation", 2), ("permutation", 3), ("face", 2),
                      ("face", 3), ("face", 4)],
         ids=["2", "3", "face-2", "face-3", "face-4"])
-    def test_column_swap_symmetry(self, rng, route, L):
+    def test_column_swap_symmetry(self, rng, monkeypatch, route, L):
         for _ in range(5):
             params, lams = draw_model(rng, L, predicate=well_conditioned)
-            assert mu_symmetry_residual(params, lams, 0, L - 1,
-                                        route) < 1e-11
+            assert swap_residual(params, lams, 0, L - 1, route) < 1e-11
+        # a stand-in that reads only mu_1 leaves the row swap at 0
+        monkeypatch.setattr(closed_form, "_evaluator",
+                            lambda params, route: lambda xs: 1 + params.mu[0])
+        mu = params.mu
+        assert swap_residual(params, lams, 0, L - 1) == \
+            abs(mu[L - 1] - mu[0]) / abs(1 + mu[0])
+
+    def test_swap_residual_arguments(self, complex_params_l2):
+        params, lams = complex_params_l2
+        assert swap_residual(params, lams, 1, 1) == 0.0
+        with pytest.raises(BadLength):
+            swap_residual(params, lams, 0, 2)
+        with pytest.raises(BadLength):
+            swap_residual(params, lams[:1], 0, 1)
 
     def test_theta_stabilization(self, rng):
         # the value becomes theta-independent once the reference height is

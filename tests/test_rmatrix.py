@@ -16,12 +16,16 @@ from sosdw.rmatrix import (
     dybe_residual,
     ice_residual,
     r_matrix,
-    two_site_operators,
     unitarity_residual,
     weights,
 )
 
 P1 = ModelParams(gamma=0.31 + 0.12j, theta=0.57 - 0.08j, mu=(0.0,), L=1)
+
+# The swap of the two sites and the total spin, in the (++, +-, -+, --) basis
+SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
+                dtype=complex)
+TOTAL_SPIN = np.diag([2, 0, 0, -2]).astype(complex)
 
 box = st.floats(min_value=-1.0, max_value=1.0,
                 allow_nan=False, allow_infinity=False)
@@ -96,9 +100,17 @@ class TestMatrixStructure:
             assert r[entry] == val, entry
 
     def test_swap_and_spin_constants(self):
-        SWAP, TOTAL_SPIN = two_site_operators()
+        # unitarity_residual reads the same swap as the written-out one, and
+        # R commutes with the written-out total spin
         assert np.array_equal(SWAP @ SWAP, np.eye(4))
-        assert np.array_equal(np.diag(TOTAL_SPIN), [2, 0, 0, -2])
+        lam, th = 0.23 - 0.11j, 0.57 - 0.08j
+        g = P1.gamma
+        r1, r2 = r_matrix(lam, th, P1), r_matrix(-lam, th, P1)
+        target = s(g + lam) * s(g - lam) * np.eye(4)
+        scale = np.linalg.norm(r1, 2) * np.linalg.norm(r2, 2)
+        assert unitarity_residual(lam, th, P1) == \
+            np.abs(r1 @ SWAP @ r2 @ SWAP - target).max() / scale
+        assert np.array_equal(r1 @ TOTAL_SPIN, TOTAL_SPIN @ r1)
 
 
 class TestIdentities:
@@ -133,15 +145,15 @@ class TestIdentities:
             assert ice_residual(lam, th, P1) == 0.0
 
 
-def fresh_embedded_r(lam, theta, params, pair, branch=None):
+def fresh_embedded_r(lam, theta, params, pair, spectator=None):
     """Oracle: the embedded R-matrix with a fresh weight table per basis
     state, at theta - gamma * h for spectator spin h = +1/-1."""
     p, q = pair
     m = np.zeros((8, 8), dtype=complex)
     for b in range(8):
         bits = ((b >> 2) & 1, (b >> 1) & 1, b & 1)
-        th = theta if branch is None \
-            else theta - params.gamma * (1 - 2 * bits[branch])
+        th = theta if spectator is None \
+            else theta - params.gamma * (1 - 2 * bits[spectator])
         for (row, c), val in weights(lam, th, params).items():
             if c == 2 * bits[p] + bits[q]:
                 nb = list(bits)
@@ -159,12 +171,12 @@ class TestWeightTables:
             assert tables[n] == weights(lam, th + n * P1.gamma, P1)
         assert list(tables) == [2, -1, 0]
 
-    @pytest.mark.parametrize("pair, branch", [
+    @pytest.mark.parametrize("pair, spectator", [
         ((0, 1), None), ((0, 2), None), ((1, 2), None),
         ((0, 1), 2), ((0, 2), 1), ((1, 2), 0)])
-    def test_embedded_r_tables(self, monkeypatch, pair, branch):
-        # one table without a branch, one per spectator spin with one, and
-        # the same matrix as a fresh table per basis state
+    def test_embedded_r_tables(self, monkeypatch, pair, spectator):
+        # one table unbranched, one per spectator spin branched, and the
+        # same matrix as a fresh table per basis state
         built = []
         orig = rmatrix.weights
 
@@ -174,7 +186,8 @@ class TestWeightTables:
 
         monkeypatch.setattr(rmatrix, "weights", counted)
         lam, th = 0.23 - 0.11j, 0.41 + 0.06j
-        got = _embedded_r(lam, th, P1, pair, branch)
-        assert len(built) == (1 if branch is None else 2)
+        branched = spectator is not None
+        got = _embedded_r(lam, th, P1, pair, branched)
+        assert len(built) == (2 if branched else 1)
         assert np.array_equal(got, fresh_embedded_r(lam, th, P1, pair,
-                                                    branch))
+                                                    spectator))

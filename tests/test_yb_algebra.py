@@ -278,19 +278,21 @@ class TestExchangeRelations:
             commutation_residuals(0.4, 0.4, 0.57 - 0.08j, P2)
 
     def test_each_distinct_entry_is_built_once(self, monkeypatch):
-        # 28 matrix uses, 17 distinct (entry, lambda, theta); the cache
-        # leaves every residual bit-identical
+        # 28 matrix uses, 17 distinct (entry, lambda, theta), and one set of
+        # site tables for each of the 8 distinct (lambda, theta); the caches
+        # leave every residual bit-identical
         calls = []
-        build = yb_algebra.monodromy_entry
+        build = yb_algebra._dense
 
-        def counted(*args):
-            calls.append(args[:3])
-            return build(*args)
+        def counted(which, sites):
+            calls.append((which, id(sites)))
+            return build(which, sites)
 
-        monkeypatch.setattr(yb_algebra, "monodromy_entry", counted)
+        monkeypatch.setattr(yb_algebra, "_dense", counted)
         args = (0.21 - 0.13j, -0.34 + 0.08j, 0.57 - 0.08j, P2)
         cached = commutation_residuals(*args)
         assert len(calls) == len(set(calls)) == 17
+        assert len({sites for _, sites in calls}) == 8
         calls.clear()
         monkeypatch.setattr(yb_algebra.functools, "cache", lambda f: f)
         assert commutation_residuals(*args) == cached
