@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import warnings
 
 import pytest
@@ -232,6 +233,24 @@ class TestComputeCommand:
         error = json.loads(captured.err)["error"]
         assert error["type"] == "SinhOverflow"
         assert "sinh of" in error["message"]
+
+    @pytest.mark.parametrize("lambdas", [
+        [{"re": 0.0, "im": 0.0}, {"re": 0.0, "im": 3.1}],
+        [{"re": 0.0, "im": 0.0}, {"re": 1.0, "im": 1.5 * math.pi},
+         {"re": -1.0, "im": 1.5 * math.pi}],
+    ], ids=["gap-near-i-pi", "centroid-on-a-copy"])
+    def test_compute_exit_2_without_a_separating_circle(self, tmp_path,
+                                                        capsys, lambdas):
+        L = len(lambdas)
+        path = write_cfg(tmp_path, L=L, routes=["quadrature"],
+                         mu=[{"re": 0.13 * (k + 1), "im": 0.0}
+                             for k in range(L)],
+                         **{"lambda": lambdas})
+        code = main(["compute", "--config", path, "--json"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"]["type"] == "ContourInvalid"
 
     @pytest.mark.parametrize("bad", [complex("nan"), complex("inf"),
                                      complex("nan+nanj")])

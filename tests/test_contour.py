@@ -1,16 +1,32 @@
 """Contour-integral route: residues, quadrature, and contour validation."""
 
 import cmath
+import itertools
 import math
+import random
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from sosdw.core import ModelParams, NoConvergence, TooLarge
+from sosdw.core import (
+    ModelParams,
+    NoConvergence,
+    SinhOverflow,
+    TooLarge,
+    pairwise_sum,
+    s,
+)
 from sosdw.closed_form import partition_permutation_sum
 from sosdw.contour import (
     ContourInvalid,
     ContourSpec,
     PoleHit,
+    _array_sinh,
+    _pair,
+    _pair_matrix,
+    _residue_terms,
     auto_contour,
     check_contour,
     partition_quadrature,
@@ -19,6 +35,7 @@ from sosdw.contour import (
     tensor_quadrature,
 )
 from sosdw.sampling import draw_model
+from sosdw.verify import _spread_ok
 
 
 def draw_clustered(rng, L):
@@ -58,6 +75,45 @@ class TestContourValidation:
             check_contour(ContourSpec(center=0j, radius=0.5, nodes=257),
                           (0j,))
 
+    def test_auto_contour_one_pole(self):
+        lams = (0.3 - 0.2j,)
+        spec = auto_contour(lams)
+        assert spec.center == lams[0]
+        check_contour(spec, lams)
+
+    @pytest.mark.parametrize("L", [2, 3])
+    def test_auto_contour_at_the_contour_suite_spread_limit(self, L):
+        # poles at distance just under 1.2 from their centroid, one of
+        # them pointing at its own i*pi copy
+        center = 0.2 - 0.3j
+        lams = tuple(center + 1.1999999 * 1j * cmath.exp(2j * math.pi * k / L)
+                     for k in range(L))
+        assert _spread_ok(None, lams)
+        check_contour(auto_contour(lams), lams)
+
+    @pytest.mark.parametrize("lams", [
+        (0j, 3.1j),
+        # the centroid sits on the first pole's i*pi copy
+        (0j, 1 + 1.5j * math.pi, -1 + 1.5j * math.pi),
+    ], ids=["gap-near-i-pi", "centroid-on-a-copy"])
+    def test_auto_contour_without_a_separating_circle(self, lams):
+        with pytest.raises(ContourInvalid):
+            check_contour(auto_contour(lams), lams)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.complex_numbers(max_magnitude=1.6,
+                                       allow_nan=False, allow_infinity=False),
+                    min_size=1, max_size=4))
+    def test_balanced_circle_keeps_every_reach_plus_margin_circle(self,
+                                                                   lams):
+        center = sum(lams) / len(lams)
+        reach = max(abs(z - center) for z in lams)
+        try:
+            check_contour(ContourSpec(center, reach + 0.3), lams)
+        except ContourInvalid:
+            assume(False)
+        check_contour(auto_contour(lams), lams)
+
     def test_pole_hit_on_a_quadrature_node(self, complex_params_l2):
         # node 0 of the circle sits at center + radius, on the first pole
         params, lams = complex_params_l2
@@ -66,7 +122,71 @@ class TestContourValidation:
             tensor_quadrature(params, lams, spec, 16)
 
 
+class TestPairMatrix:
+    def test_matches_direct_pair(self):
+        rng = random.Random(15)
+        for _ in range(60):
+            center = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+            radius = rng.uniform(0.01, math.pi - 0.05)
+            g = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+            nodes = rng.choice((8, 64, 128))
+            phi = 2 * math.pi * np.arange(nodes) / nodes + rng.random()
+            ring = radius * np.exp(1j * phi)
+            wn = center + ring
+            direct = _pair(wn[:, None], wn[None, :], g, _array_sinh)
+            pair = _pair_matrix(ring, g)
+            scale = np.abs(direct).max()
+            assert np.abs(pair - direct).max() <= 1e-13 * scale
+            assert (np.diag(pair) == 0).all()
+
+    def test_overflow_raises(self):
+        ring = 0.5 * np.exp(2j * math.pi * np.arange(16) / 16)
+        with pytest.raises(SinhOverflow):
+            _pair_matrix(ring, 800 + 0.1j)
+
+
+def transcribed_residue_terms(params, lams):
+    """The residue terms written out with core.s, factor by factor."""
+    g, th, mu, L = params.gamma, params.theta, params.mu, params.L
+    site = []
+    for j in range(L):
+        row = []
+        for a in range(L):
+            f = s(th + (j + 1) * g - lams[a] + mu[j]) / s(th + (j + 1) * g)
+            for l in range(j):
+                f = f * s(mu[l] - lams[a])
+            for l in range(j + 1, L):
+                f = f * s(lams[a] - mu[l] + g)
+            den = math.prod(s(lams[a] - lams[b]) for b in range(L) if b != a)
+            row.append(f / den)
+        site.append(row)
+    terms = []
+    for order in itertools.permutations(range(L)):
+        v = 1.0 + 0j
+        for p in range(L):
+            v *= site[p][order[p]]
+        for p in range(L):
+            for m in range(p + 1, L):
+                gap = lams[order[m]] - lams[order[p]]
+                v *= s(gap + g) * s(gap)
+        terms.append(v)
+    return terms
+
+
 class TestResidueSum:
+    @pytest.mark.parametrize("L", [1, 2, 3, 4])
+    def test_bit_identical_to_transcription(self, rng, L):
+        # crosscheck verdicts at L=8 sit near the 1e-9 agreement gate, so
+        # the residue values must not move by a single bit
+        for _ in range(3):
+            params, lams = draw_model(rng, L, routes=("residue",))
+            lams = tuple(complex(z) for z in lams)
+            terms = transcribed_residue_terms(params, lams)
+            assert _residue_terms(params, lams) == terms
+            assert partition_residue(params, lams) == (
+                s(params.gamma) ** L * pairwise_sum(terms))
+
+
     @pytest.mark.parametrize("L", [1, 2, 3, 4])
     def test_equals_permutation_sum(self, rng, L):
         for _ in range(4):
