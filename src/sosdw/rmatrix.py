@@ -4,12 +4,19 @@ The six nonzero vertex weights depend on a spectral argument ``lam`` and on
 the local dynamical parameter ``theta``.  The R-matrix acts on the tensor
 product of two two-state spaces ordered (++, +-, -+, --), and the
 operator-valued shift of the dynamical parameter is resolved by branching
-over the eigenbasis of the spectator height operator.  The weight table is
-pure Python; the dense matrices and their identity checks import numpy in
-their own bodies.
+over the eigenbasis of the spectator height operator.
+
+Everything here is pure Python.  A dense matrix is a plain list of its
+columns, ``m[j][i]`` the entry in row i and column j; ``matmul`` and
+``max_abs`` are the only dense helpers, and ``yb_algebra`` reads the same
+form.  Operator 2-norms come in closed form from the block structure of R.
 """
 
 from __future__ import annotations
+
+import math
+from itertools import chain
+from operator import sub
 
 from .core import EPS_SING, ModelParams, SingularTheta, s
 
@@ -60,38 +67,91 @@ class WeightTables(dict):
         return table
 
 
-def r_matrix(lam: complex, theta: complex, params: ModelParams):
-    """The 4x4 R-matrix; only the six ice-rule entries are nonzero."""
-    import numpy as np
+def matmul(a: list, b: list) -> list:
+    """Product a @ b of two dense matrices, each a list of its columns.
 
-    m = np.zeros((4, 4), dtype=complex)
-    for entry, val in weights(lam, theta, params).items():
-        m[entry] = val
+    Zero entries are skipped on both sides: most entries of the R-matrix
+    and of the monodromy entries are zero.
+    """
+    nonzero = [[(i, y) for i, y in enumerate(ak) if y] for ak in a]
+    out = []
+    for bj in b:
+        col = [0j] * len(a[0])
+        for x, terms in zip(bj, nonzero):
+            if x:
+                for i, y in terms:
+                    col[i] += x * y
+        out.append(col)
+    return out
+
+
+def max_abs(m) -> float:
+    """Largest entry modulus of a dense matrix given as a list of columns.
+
+    Any iterable of iterable columns will do, such as the lazy difference
+    ``(map(sub, p, q) for p, q in zip(a, b))`` of two matrices.
+    """
+    return max(map(abs, chain.from_iterable(m)))
+
+
+def r_matrix(lam: complex, theta: complex, params: ModelParams) -> list:
+    """The 4x4 R-matrix as a list of its columns.
+
+    Only the six ice-rule entries are nonzero.
+    """
+    m = [[0j] * 4 for _ in range(4)]
+    for (row, col), val in weights(lam, theta, params).items():
+        m[col][row] = val
     return m
 
 
+def r_norm(r: list) -> float:
+    """Operator 2-norm of a 4x4 R-matrix, in closed form.
+
+    R is the direct sum of a, B and a, with B the 2x2 block on (+-, -+), so
+    its norm is the larger of |a| and the largest singular value of B.  With
+    u = det B / |det B| the sum and the difference of B's two singular
+    values are the 2-norms of (b11 + u conj(b22), b12 - u conj(b21)) and
+    (b11 - u conj(b22), b12 + u conj(b21)); unlike the root of
+    F^2 - 4|det B|^2, F the squared Frobenius norm, this keeps full
+    precision where the two singular values meet, as they do at lam = 0.
+    """
+    b11, b21, b12, b22 = r[1][1], r[1][2], r[2][1], r[2][2]
+    det = b11 * b22 - b12 * b21
+    u = det / abs(det) if det else 1.0
+    x, y = u * b22.conjugate(), u * b21.conjugate()
+    sigma = (math.hypot(abs(b11 + x), abs(b12 - y))
+             + math.hypot(abs(b11 - x), abs(b12 + y))) / 2
+    return max(abs(r[0][0]), sigma)
+
+
 def _embedded_r(lam, theta, params, pair, branched=False):
-    """8x8 matrix of the R-matrix acting on two of three two-state sites.
+    """8x8 R-matrix acting on two of three two-state sites, with its 2-norm.
 
     ``pair`` gives the (first, second) site indices in 0..2; the third site
     is the spectator, and the block acts as the identity on it.  When
     ``branched``, the dynamical argument is theta - gamma * h with h = +1/-1
-    the spectator spin (bit 0/1), one ``r_matrix`` block per spin.
+    the spectator spin (bit 0/1), one ``r_matrix`` block per spin.  The
+    matrix is a direct sum of its blocks, so its 2-norm is the largest
+    block norm.  Site 0 is the high bit of the basis index.
     """
-    import numpy as np
-
     p, q = pair
     if branched:
         blocks = [r_matrix(lam, theta + n * params.gamma, params)
                   for n in (-1, 1)]
     else:
-        blocks = [r_matrix(lam, theta, params)] * 2
-    # axes (out bits, in bits) of sites 0..2; the view puts pair first
-    m = np.zeros((2,) * 6, dtype=complex)
-    view = m.transpose(p, q, 3 - p - q, 3 + p, 3 + q, 6 - p - q)
-    for h, block in enumerate(blocks):
-        view[:, :, h, :, :, h] = block.reshape(2, 2, 2, 2)
-    return m.reshape(8, 8)
+        blocks = [r_matrix(lam, theta, params)]
+    out = []
+    for b in range(8):
+        bits = [(b >> 2) & 1, (b >> 1) & 1, b & 1]
+        block = blocks[bits[3 - p - q] if branched else 0]
+        col = [0j] * 8
+        for row, val in enumerate(block[2 * bits[p] + bits[q]]):
+            # the pair's output spins; the spectator's stays
+            bits[p], bits[q] = row >> 1, row & 1
+            col[(bits[0] << 2) | (bits[1] << 1) | bits[2]] = val
+        out.append(col)
+    return out, max(map(r_norm, blocks))
 
 
 def dybe_residual(l1, l2, l3, theta, params) -> float:
@@ -103,18 +163,16 @@ def dybe_residual(l1, l2, l3, theta, params) -> float:
     sinh(theta + n*gamma) can make single factors large while both sides
     stay of order one.
     """
-    import numpy as np
-
     l12, l13, l23 = l1 - l2, l1 - l3, l2 - l3
-    factors = ((_embedded_r(l12, theta, params, (0, 1), branched=True),
-                _embedded_r(l13, theta, params, (0, 2)),
-                _embedded_r(l23, theta, params, (1, 2), branched=True)),
-               (_embedded_r(l23, theta, params, (1, 2)),
-                _embedded_r(l13, theta, params, (0, 2), branched=True),
-                _embedded_r(l12, theta, params, (0, 1))))
-    lhs, rhs = (a @ b @ c for a, b, c in factors)
-    scale = np.linalg.norm(np.array(factors), 2, axis=(2, 3)).prod(1).max()
-    return float(np.abs(lhs - rhs).max() / scale)
+    sides = ((_embedded_r(l12, theta, params, (0, 1), branched=True),
+              _embedded_r(l13, theta, params, (0, 2)),
+              _embedded_r(l23, theta, params, (1, 2), branched=True)),
+             (_embedded_r(l23, theta, params, (1, 2)),
+              _embedded_r(l13, theta, params, (0, 2), branched=True),
+              _embedded_r(l12, theta, params, (0, 1))))
+    lhs, rhs = (matmul(matmul(a, b), c) for (a, _), (b, _), (c, _) in sides)
+    scale = max(math.prod(norm for _, norm in side) for side in sides)
+    return max_abs(map(sub, p, q) for p, q in zip(lhs, rhs)) / scale
 
 
 def unitarity_residual(lam, theta, params) -> float:
@@ -126,15 +184,15 @@ def unitarity_residual(lam, theta, params) -> float:
     sinh(theta) both factors grow like 1/sinh(theta) while the product
     stays of the size of sinh(g+lam) sinh(g-lam).
     """
-    import numpy as np
-
-    swap = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
+    swap = [[1 + 0j if i == j else 0j for i in range(4)] for j in (0, 2, 1, 3)]
     g = params.gamma
     r1 = r_matrix(lam, theta, params)
     r2 = r_matrix(-lam, theta, params)
-    target = s(g + lam) * s(g - lam) * np.eye(4, dtype=complex)
-    scale = np.linalg.norm(r1, 2) * np.linalg.norm(r2, 2)
-    return float(np.abs(r1 @ swap @ r2 @ swap - target).max() / scale)
+    target = s(g + lam) * s(g - lam)
+    lhs = matmul(matmul(matmul(r1, swap), r2), swap)
+    scale = r_norm(r1) * r_norm(r2)
+    return max_abs([z - target if i == j else z for i, z in enumerate(col)]
+                   for j, col in enumerate(lhs)) / scale
 
 
 def ice_residual(lam, theta, params) -> float:
@@ -143,9 +201,8 @@ def ice_residual(lam, theta, params) -> float:
     The residual is the max-abs entry of the commutator of R with the total
     spin; it vanishes exactly, since R has only the six ice-rule entries.
     """
-    import numpy as np
-
-    spin = np.diag([2.0, 0.0, 0.0, -2.0]).astype(complex)
+    spin = [[complex(h) if i == j else 0j for i in range(4)]
+            for j, h in enumerate((2.0, 0.0, 0.0, -2.0))]
     r = r_matrix(lam, theta, params)
-    return (float(np.abs(r @ spin - spin @ r).max())
-            / float(np.abs(r).max()))
+    lhs, rhs = matmul(r, spin), matmul(spin, r)
+    return max_abs(map(sub, p, q) for p, q in zip(lhs, rhs)) / max_abs(r)

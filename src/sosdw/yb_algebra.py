@@ -12,14 +12,16 @@ state index, bit value 0 meaning spin up.  The index 0 state is the all-up
 reference state and the index 2^L - 1 state is the all-down one.
 
 A state vector is a plain list of 2^L complex amplitudes in basis-index
-order, so the algebraic route runs without numpy; only the dense operator
-checks import it, in their own bodies.
+order, and a dense operator is a plain list of its 2^L columns, the form of
+``rmatrix.matmul``; nothing here imports numpy.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
+import math
+from operator import sub
 
 from .closed_form import exchange_terms
 from .core import (
@@ -34,7 +36,7 @@ from .core import (
     s,
     validate,
 )
-from .rmatrix import WeightTables
+from .rmatrix import WeightTables, matmul, max_abs
 
 
 class SingularKFactor(ValidationError):
@@ -85,32 +87,33 @@ def apply_monodromy_entry(which: str, lam: complex, theta: complex,
     ``theta`` is the dynamical argument of the whole row operator; the
     per-site shifts are resolved internally.
     """
-    sites = [WeightTables(lam - m, theta, params) for m in params.mu]
-    return _propagate(which, sites, vec)
+    return _propagate(which, _sites(lam, theta, params), vec)
 
 
-def _dense(which: str, sites: list):
+def _dense(which: str, sites: list) -> list:
     """One monodromy entry as a dense matrix, one basis column at a time.
 
     ``sites`` holds the site ``WeightTables`` as for ``_propagate``; every
-    column reads the same tables.
+    column reads the same tables.  The result is a list of the 2^L columns.
     """
-    import numpy as np
-
     dim = 1 << len(sites)
-    m = np.zeros((dim, dim), dtype=complex)
+    cols = []
     for b in range(dim):
         e = [0j] * dim
         e[b] = 1 + 0j
-        m[:, b] = _propagate(which, sites, e)
-    return m
+        cols.append(_propagate(which, sites, e))
+    return cols
+
+
+def _sites(lam: complex, theta: complex, params: ModelParams) -> list:
+    """The site ``WeightTables`` of one row operator at lam and theta."""
+    return [WeightTables(lam - m, theta, params) for m in params.mu]
 
 
 def monodromy_entry(which: str, lam: complex, theta: complex,
-                    params: ModelParams):
+                    params: ModelParams) -> list:
     """One of the four row-operator entries as a dense 2^L x 2^L matrix."""
-    return _dense(which, [WeightTables(lam - m, theta, params)
-                          for m in params.mu])
+    return _dense(which, _sites(lam, theta, params))
 
 
 def vacuum_states(L: int):
@@ -122,12 +125,9 @@ def vacuum_states(L: int):
     return up, down
 
 
-def cartan_h(L: int):
+def cartan_h(L: int) -> list:
     """Diagonal of the total-spin operator in the basis-index order."""
-    import numpy as np
-
-    return np.array([L - 2 * b.bit_count() for b in range(1 << L)],
-                    dtype=float)
+    return [float(L - 2 * b.bit_count()) for b in range(1 << L)]
 
 
 def creation_string(params: ModelParams, lambdas, theta: complex,
@@ -159,13 +159,16 @@ def partition_algebraic(params: ModelParams, lambdas) -> complex:
     return complex(v[-1])
 
 
-def _rel(lhs, rhs) -> float:
-    import numpy as np
-
-    scale = max(float(np.abs(lhs).max()), float(np.abs(rhs).max()))
+def _rel(lhs: list, rhs: list) -> float:
+    scale = max(max_abs(lhs), max_abs(rhs))
     if scale == 0.0:
         return 0.0
-    return float(np.abs(lhs - rhs).max()) / scale
+    return max_abs(map(sub, p, q) for p, q in zip(lhs, rhs)) / scale
+
+
+def _norm(v) -> float:
+    """2-norm of a state vector."""
+    return math.hypot(*(abs(z) for z in v))
 
 
 def commutation_residuals(l1: complex, l2: complex, theta: complex,
@@ -176,87 +179,96 @@ def commutation_residuals(l1: complex, l2: complex, theta: complex,
     Cartan relations ak, bk, ck, dk), each value the max-abs residual of
     LHS - RHS divided by the larger of the two side norms.
     """
-    import numpy as np
-
     if abs(s(l1 - l2)) <= EPS_SEP:
         raise CoincidentSpectral("exchange relations need separated arguments")
     g = params.gamma
-    L = params.L
     q = cmath.exp(g)
     t = cmath.exp(theta)
-    kvec = q ** cartan_h(L)
+    kvec = [q ** h for h in cartan_h(params.L)]
 
     # The relations reuse entries: 17 distinct matrices among 28 uses, and
     # the entries at one (lam, theta) share their site tables.  Every use
     # reads its matrix without writing to it.
     @functools.cache
     def sites(lam, th):
-        return [WeightTables(lam - m, th, params) for m in params.mu]
+        return _sites(lam, th, params)
 
     @functools.cache
     def mat(which, lam, th):
         return _dense(which, sites(lam, th))
 
+    def scaled(m, w):
+        """m @ diag(w): column j of m times w[j]."""
+        return [[x * z for z in col] for x, col in zip(w, m)]
+
+    def comb(*terms):
+        """The entrywise sum of c * m over the (c, m) terms, in order."""
+        (c, m), *rest = terms
+        out = [[c * z for z in col] for col in m]
+        for c, m in rest:
+            out = [[x + c * z for x, z in zip(oc, col)]
+                   for oc, col in zip(out, m)]
+        return out
+
     def kcomb(c_inv, c_dir):
-        return c_inv / kvec + c_dir * kvec
+        return [c_inv / k + c_dir * k for k in kvec]
 
     g_main = kcomb(t * q ** 2, -(q ** -2) / t)
-    if float(np.abs(g_main).min()) < 1e-10:
+    if min(abs(z) for z in g_main) < 1e-10:
         raise SingularKFactor(
             "the q^2-shifted Cartan combination is not invertible"
         )
     g_one = kcomb(t * q, -1 / (t * q))
     xb1, xb2 = cmath.exp(l1), cmath.exp(l2)
     g_cross = kcomb(t * q * xb1 / xb2, -xb2 / (xb1 * t * q))
+    w_one = [a / b for a, b in zip(g_one, g_main)]
+    w_cross = [a / b for a, b in zip(g_cross, g_main)]
 
     out = {}
 
-    lhs = mat("B", l1, theta) @ mat("B", l2, theta + g)
-    rhs = mat("B", l2, theta) @ mat("B", l1, theta + g)
+    lhs = matmul(mat("B", l1, theta), mat("B", l2, theta + g))
+    rhs = matmul(mat("B", l2, theta), mat("B", l1, theta + g))
     out["bb"] = _rel(lhs, rhs)
 
-    lhs = mat("A", l1, theta + g) @ mat("B", l2, theta)
-    rhs = (
-        (s(l2 - l1 + g) / s(l2 - l1)) * (s(theta + g) / s(theta + 2 * g))
-        * (mat("B", l2, theta + g) @ mat("A", l1, theta + 2 * g))
-        - (s(theta + g - l2 + l1) / s(l2 - l1)) * (s(g) / s(theta + 2 * g))
-        * (mat("B", l1, theta + g) @ mat("A", l2, theta + 2 * g))
+    lhs = matmul(mat("A", l1, theta + g), mat("B", l2, theta))
+    rhs = comb(
+        ((s(l2 - l1 + g) / s(l2 - l1)) * (s(theta + g) / s(theta + 2 * g)),
+         matmul(mat("B", l2, theta + g), mat("A", l1, theta + 2 * g))),
+        (-(s(theta + g - l2 + l1) / s(l2 - l1)) * (s(g) / s(theta + 2 * g)),
+         matmul(mat("B", l1, theta + g), mat("A", l2, theta + 2 * g))),
     )
     out["ab"] = _rel(lhs, rhs)
 
-    lhs = mat("D", l1, theta - g) @ mat("B", l2, theta)
-    rhs = (
-        (s(l1 - l2 + g) / s(l1 - l2))
-        * (mat("B", l2, theta - g) @ mat("D", l1, theta))
-        * (g_one / g_main)[None, :]
-        - (s(g) / s(l1 - l2))
-        * (mat("B", l1, theta - g) @ mat("D", l2, theta))
-        * (g_cross / g_main)[None, :]
+    lhs = matmul(mat("D", l1, theta - g), mat("B", l2, theta))
+    rhs = comb(
+        (s(l1 - l2 + g) / s(l1 - l2),
+         scaled(matmul(mat("B", l2, theta - g), mat("D", l1, theta)), w_one)),
+        (-(s(g) / s(l1 - l2)),
+         scaled(matmul(mat("B", l1, theta - g), mat("D", l2, theta)),
+                w_cross)),
     )
     out["db"] = _rel(lhs, rhs)
 
-    lhs = mat("C", l1, theta + g) @ mat("B", l2, theta)
-    rhs = (
-        (s(theta) / s(theta + g))
-        * (mat("B", l2, theta + g) @ mat("C", l1, theta + 2 * g))
-        * (g_one / g_main)[None, :]
-        + (s(g) / s(theta + g)) * (s(theta + g + l1 - l2) / s(l1 - l2))
-        * (mat("A", l2, theta + g) @ mat("D", l1, theta))
-        * (g_one / g_main)[None, :]
-        - (s(g) / s(l1 - l2))
-        * (mat("A", l1, theta + g) @ mat("D", l2, theta))
-        * (g_cross / g_main)[None, :]
+    lhs = matmul(mat("C", l1, theta + g), mat("B", l2, theta))
+    rhs = comb(
+        (s(theta) / s(theta + g),
+         scaled(matmul(mat("B", l2, theta + g), mat("C", l1, theta + 2 * g)),
+                w_one)),
+        ((s(g) / s(theta + g)) * (s(theta + g + l1 - l2) / s(l1 - l2)),
+         scaled(matmul(mat("A", l2, theta + g), mat("D", l1, theta)), w_one)),
+        (-(s(g) / s(l1 - l2)),
+         scaled(matmul(mat("A", l1, theta + g), mat("D", l2, theta)),
+                w_cross)),
     )
     out["cb"] = _rel(lhs, rhs)
 
-    a_mat = mat("A", l1, theta)
-    b_mat = mat("B", l1, theta)
-    c_mat = mat("C", l1, theta)
-    d_mat = mat("D", l1, theta)
-    out["ak"] = _rel(a_mat * kvec[None, :], a_mat * kvec[:, None])
-    out["bk"] = _rel(b_mat * kvec[None, :], q ** 2 * (b_mat * kvec[:, None]))
-    out["ck"] = _rel(c_mat * kvec[None, :], q ** -2 * (c_mat * kvec[:, None]))
-    out["dk"] = _rel(d_mat * kvec[None, :], d_mat * kvec[:, None])
+    # K X = kvec[i] X[i][j] and X K = X[i][j] kvec[j], with K = q^H
+    for key, which, factor in (("ak", "A", 1), ("bk", "B", q ** 2),
+                               ("ck", "C", q ** -2), ("dk", "D", 1)):
+        m = mat(which, l1, theta)
+        out[key] = _rel(scaled(m, kvec),
+                        [[factor * (k * z) for k, z in zip(kvec, col)]
+                         for col in m])
     return out
 
 
@@ -270,8 +282,6 @@ def cbb_residual(n: int, lambdas, theta: complex,
     families with re-indexed creation strings.  The residual is the vector
     2-norm of the difference over the largest participating term norm.
     """
-    import numpy as np
-
     L = params.L
     if not 1 <= n <= L + 1:
         raise BadLength(f"string length {n} outside 1..{L + 1}")
@@ -285,21 +295,17 @@ def cbb_residual(n: int, lambdas, theta: complex,
     g = params.gamma
 
     lhs = creation_string(params, lam[1:], theta, list(range(n)))
-    lhs = np.asarray(apply_monodromy_entry("C", lam[0], theta + g, params,
-                                           lhs))
+    lhs = apply_monodromy_entry("C", lam[0], theta + g, params, lhs)
 
-    terms = [c * np.asarray(creation_string(params, args, theta,
-                                            list(range(1, n))))
+    terms = [[c * z for z in creation_string(params, args, theta,
+                                             list(range(1, n)))]
              for c, args in exchange_terms(lam, theta, params, n)]
 
-    rhs = np.sum(np.stack(terms), axis=0)
-    scale = max(
-        [float(np.linalg.norm(lhs))]
-        + [float(np.linalg.norm(v)) for v in terms]
-    )
+    rhs = [sum(zs) for zs in zip(*terms)]
+    scale = max([_norm(lhs)] + [_norm(v) for v in terms])
     if scale == 0.0:
         return 0.0
-    return float(np.linalg.norm(lhs - rhs)) / scale
+    return _norm(map(sub, lhs, rhs)) / scale
 
 
 def nilpotency_norm(params: ModelParams, lambdas) -> float:
@@ -307,24 +313,21 @@ def nilpotency_norm(params: ModelParams, lambdas) -> float:
 
     A string of L+1 creation factors annihilates the all-up state; the
     returned value is the 2-norm of the result divided by the product of the
-    factors' max-abs matrix norms, and should vanish to rounding.
+    factors' max-abs matrix norms, and should vanish to rounding.  Each
+    factor's site tables serve both its step of the string and its dense
+    matrix.
     """
-    import numpy as np
-
     L = params.L
     if len(lambdas) != L + 1:
         raise BadLength(f"expected {L + 1} spectral values, got {len(lambdas)}")
     if L > 6:
         raise TooLarge("nilpotency check materializes matrices; L capped at 6")
-    lam = [complex(z) for z in lambdas]
-    v = np.asarray(creation_string(params, lam, params.theta,
-                                   list(range(L + 1))))
-    scale = 1.0
-    for j in range(L + 1):
-        m = monodromy_entry("B", lam[j], params.theta + j * params.gamma,
-                            params)
-        scale *= float(np.abs(m).max())
+    factors = [_sites(complex(z), params.theta + j * params.gamma, params)
+               for j, z in enumerate(lambdas)]
+    v, _ = vacuum_states(L)
+    for sites in reversed(factors):
+        v = _propagate("B", sites, v)
+    scale = math.prod(max_abs(_dense("B", sites)) for sites in factors)
     if scale == 0.0:
-        return float(np.linalg.norm(v))
-    return float(np.linalg.norm(v)) / scale
-
+        return _norm(v)
+    return _norm(v) / scale

@@ -36,6 +36,7 @@ from sosdw.core import (
     s,
     validate,
 )
+from sosdw.verify import SUITE_NAMES
 
 finite = st.floats(min_value=-3.0, max_value=3.0,
                    allow_nan=False, allow_infinity=False)
@@ -221,8 +222,7 @@ class TestClosePair:
         assert close_pair((0.0, 0.1), abs(s(0.1)) * 0.999) is None
 
 
-NUMPY_FREE_SUITES = ("hexagon", "functional", "zeroes", "symmetry", "degree",
-                     "asymptotic", "ode")
+NUMPY_FREE_SUITES = tuple(name for name in SUITE_NAMES if name != "contour")
 
 
 def _numpy_loaded_after(probe: str) -> bool:
@@ -264,9 +264,11 @@ def test_exact_routes_import_without_numpy(tmp_path):
         "for mod in pkgutil.iter_modules(sosdw.__path__):\n"
         "    importlib.import_module(f'sosdw.{mod.name}')\n"
         + job(("face", "algebra", "permutation", "residue"))
-        + "".join(f"run('verify', '--suite', {name!r}, '--draws', '2')\n"
+        + "from sosdw.verify import run_suite\n"
+        + "".join(f"assert run_suite({name!r}, 0, 4).passed\n"
                   for name in NUMPY_FREE_SUITES))
-    # The quadrature route and the dense checks still run, on numpy.
+    # The quadrature route, and the contour suite that checks it, run on
+    # numpy.
     assert _numpy_loaded_after(job(("residue", "quadrature")))
     assert _numpy_loaded_after(
-        "run('verify', '--suite', 'dybe', '--draws', '2')")
+        "run('verify', '--suite', 'contour', '--draws', '2')")

@@ -16,6 +16,7 @@ from sosdw.rmatrix import (
     dybe_residual,
     ice_residual,
     r_matrix,
+    r_norm,
     unitarity_residual,
     weights,
 )
@@ -32,6 +33,11 @@ box = st.floats(min_value=-1.0, max_value=1.0,
 boxim = st.floats(min_value=-0.8, max_value=0.8,
                   allow_nan=False, allow_infinity=False)
 cbox = st.builds(complex, box, boxim)
+
+
+def dense(cols):
+    """A dense matrix given as a list of its columns, as a numpy array."""
+    return np.array(cols).T
 
 
 def well_conditioned(g, th, *spectral):
@@ -85,7 +91,7 @@ class TestWeightFormulas:
 
 class TestMatrixStructure:
     def test_ice_zeros(self):
-        r = r_matrix(0.23 - 0.11j, 0.57 - 0.08j, P1)
+        r = dense(r_matrix(0.23 - 0.11j, 0.57 - 0.08j, P1))
         nonzero = {(0, 0), (1, 1), (2, 2), (3, 3), (1, 2), (2, 1)}
         for i in range(4):
             for j in range(4):
@@ -94,7 +100,7 @@ class TestMatrixStructure:
 
     def test_entry_placement(self):
         lam, th = 0.23 - 0.11j, 0.57 - 0.08j
-        r = r_matrix(lam, th, P1)
+        r = dense(r_matrix(lam, th, P1))
         w = weights(lam, th, P1)
         for entry, val in w.items():
             assert r[entry] == val, entry
@@ -105,11 +111,12 @@ class TestMatrixStructure:
         assert np.array_equal(SWAP @ SWAP, np.eye(4))
         lam, th = 0.23 - 0.11j, 0.57 - 0.08j
         g = P1.gamma
-        r1, r2 = r_matrix(lam, th, P1), r_matrix(-lam, th, P1)
+        r1, r2 = dense(r_matrix(lam, th, P1)), dense(r_matrix(-lam, th, P1))
         target = s(g + lam) * s(g - lam) * np.eye(4)
         scale = np.linalg.norm(r1, 2) * np.linalg.norm(r2, 2)
-        assert unitarity_residual(lam, th, P1) == \
-            np.abs(r1 @ SWAP @ r2 @ SWAP - target).max() / scale
+        assert abs(unitarity_residual(lam, th, P1)
+                   - np.abs(r1 @ SWAP @ r2 @ SWAP - target).max() / scale) \
+            <= 1e-14
         assert np.array_equal(r1 @ TOTAL_SPIN, TOTAL_SPIN @ r1)
 
 
@@ -187,7 +194,90 @@ class TestWeightTables:
         monkeypatch.setattr(rmatrix, "weights", counted)
         lam, th = 0.23 - 0.11j, 0.41 + 0.06j
         branched = spectator is not None
-        got = _embedded_r(lam, th, P1, pair, branched)
+        got, norm = _embedded_r(lam, th, P1, pair, branched)
         assert len(built) == (2 if branched else 1)
-        assert np.array_equal(got, fresh_embedded_r(lam, th, P1, pair,
-                                                    spectator))
+        fresh = fresh_embedded_r(lam, th, P1, pair, spectator)
+        assert np.array_equal(dense(got), fresh)
+        assert abs(norm - np.linalg.norm(fresh, 2)) <= 1e-14 * norm
+
+
+def numpy_r(lam, theta, params):
+    """Oracle: the 4x4 R-matrix as a numpy array, filled from the weights."""
+    m = np.zeros((4, 4), dtype=complex)
+    for entry, val in weights(lam, theta, params).items():
+        m[entry] = val
+    return m
+
+
+def numpy_dybe(l1, l2, l3, theta, params):
+    """Oracle: the DYBE residual on numpy arrays, its scale from SVDs."""
+    l12, l13, l23 = l1 - l2, l1 - l3, l2 - l3
+    factors = np.array(
+        ((fresh_embedded_r(l12, theta, params, (0, 1), 2),
+          fresh_embedded_r(l13, theta, params, (0, 2)),
+          fresh_embedded_r(l23, theta, params, (1, 2), 0)),
+         (fresh_embedded_r(l23, theta, params, (1, 2)),
+          fresh_embedded_r(l13, theta, params, (0, 2), 1),
+          fresh_embedded_r(l12, theta, params, (0, 1)))))
+    lhs, rhs = (a @ b @ c for a, b, c in factors)
+    scale = np.linalg.norm(factors, 2, axis=(2, 3)).prod(1).max()
+    return float(np.abs(lhs - rhs).max() / scale)
+
+
+def numpy_unitarity(lam, theta, params):
+    """Oracle: the unitarity residual on numpy arrays, its scale from SVDs."""
+    g = params.gamma
+    r1, r2 = numpy_r(lam, theta, params), numpy_r(-lam, theta, params)
+    target = s(g + lam) * s(g - lam) * np.eye(4)
+    scale = np.linalg.norm(r1, 2) * np.linalg.norm(r2, 2)
+    return float(np.abs(r1 @ SWAP @ r2 @ SWAP - target).max() / scale)
+
+
+def numpy_ice(lam, theta, params):
+    """Oracle: the ice-rule residual on numpy arrays."""
+    r = numpy_r(lam, theta, params)
+    return float(np.abs(r @ TOTAL_SPIN - TOTAL_SPIN @ r).max()
+                 / np.abs(r).max())
+
+
+def box_draw(rng):
+    return complex(rng.uniform(-1, 1), rng.uniform(-0.8, 0.8))
+
+
+class TestNumpyOracles:
+    """The pure-Python dense checks against numpy transcriptions, with the
+    operator 2-norms taken from SVDs."""
+
+    def test_closed_form_norm_matches_svd(self):
+        rng = random.Random(16)
+        # at lam = 0 the 2x2 block is sinh(gamma) times the swap, so its two
+        # singular values are equal
+        cases = [(P1.gamma, P1.theta, 0j), (P1.gamma, P1.theta, 1e-9 + 0j)]
+        while len(cases) < 1200:
+            g, th, lam = box_draw(rng), box_draw(rng), box_draw(rng)
+            if abs(s(g)) > 1e-3 and abs(s(th)) > 1e-3:
+                cases.append((g, th, lam))
+        for g, th, lam in cases:
+            p = ModelParams(gamma=g, theta=0.5, mu=(0.0,), L=1)
+            r = r_matrix(lam, th, p)
+            want = np.linalg.norm(dense(r), 2)
+            assert abs(r_norm(r) - want) <= 1e-14 * want, (g, th, lam)
+
+    def test_residuals_match_numpy(self):
+        rng = random.Random(61)
+        checked = 0
+        for _ in range(400):
+            g, th = box_draw(rng), box_draw(rng)
+            l1, l2, l3 = box_draw(rng), box_draw(rng), box_draw(rng)
+            if not well_conditioned(g, th) or \
+                    min(abs(s(g + l1)), abs(s(g - l1))) < 1e-2:
+                continue
+            p = ModelParams(gamma=g, theta=0.5, mu=(0.0,), L=1)
+            assert abs(dybe_residual(l1, l2, l3, th, p)
+                       - numpy_dybe(l1, l2, l3, th, p)) <= 1e-14
+            assert abs(unitarity_residual(l1, th, p)
+                       - numpy_unitarity(l1, th, p)) <= 1e-14
+            assert abs(ice_residual(l1, th, p) - numpy_ice(l1, th, p)) \
+                <= 1e-14
+            checked += 1
+        assert checked >= 200

@@ -1,5 +1,6 @@
 """Row-operator algebra: exchange relations and the operator-level recursion."""
 
+import cmath
 import random
 
 import numpy as np
@@ -13,7 +14,7 @@ from sosdw.core import (
     close_pair,
     s,
 )
-from sosdw.closed_form import partition_permutation_sum
+from sosdw.closed_form import exchange_terms, partition_permutation_sum
 from sosdw.rmatrix import weights
 from sosdw.sampling import draw_model, draw_spectral, first_admissible
 from sosdw.yb_algebra import (
@@ -70,6 +71,11 @@ def fresh_partition(params, lams):
     return v[-1]
 
 
+def dense(cols):
+    """A dense matrix given as a list of its columns, as a numpy array."""
+    return np.array(cols).T
+
+
 def cartan_string_residual(params, lambdas, n):
     """Oracle: how far an n-fold creation string is from total spin L - 2n."""
     L = params.L
@@ -78,7 +84,8 @@ def cartan_string_residual(params, lambdas, n):
     norm = float(np.linalg.norm(v))
     if norm == 0.0:
         return 0.0
-    return float(np.linalg.norm(cartan_h(L) * v - (L - 2 * n) * v)) / norm
+    return float(np.linalg.norm(np.array(cartan_h(L)) * v
+                                - (L - 2 * n) * v)) / norm
 
 
 def lowest_weight_residual(params, lambdas):
@@ -107,7 +114,7 @@ class TestStateSpace:
         assert down[-1] == 1 and np.count_nonzero(down) == 1
 
     def test_cartan_diagonal(self):
-        h = cartan_h(2)
+        h = np.array(cartan_h(2))
         assert h.tolist() == [2.0, 0.0, 0.0, -2.0]
 
 
@@ -121,7 +128,7 @@ class TestMonodromy:
                               ("B", [[0, 0], [w[1, 2], 0]]),
                               ("C", [[0, w[2, 1]], [0, 0]]),
                               ("D", [[w[2, 2], 0], [0, w[3, 3]]])):
-            got = monodromy_entry(which, lam, th, p1)
+            got = dense(monodromy_entry(which, lam, th, p1))
             assert np.allclose(got, np.array(expect), atol=1e-15), which
 
     def test_invalid_entry_name(self):
@@ -131,7 +138,7 @@ class TestMonodromy:
     def test_creation_conserves_spin_sector(self):
         v = creation_string(P2, (0.41 + 0.05j, 0.18 - 0.27j),
                             P2.theta, (1, 2))
-        h = cartan_h(2)
+        h = np.array(cartan_h(2))
         support = h[np.abs(v) > 0]
         assert set(support.tolist()) == {-2.0}
 
@@ -232,6 +239,24 @@ class TestSiteTables:
             assert len(set(built)) == len(built)
 
 
+    @pytest.mark.parametrize("L", [1, 2, 3])
+    def test_nilpotency_builds_each_table_once(self, rng, monkeypatch, L):
+        # each creation factor's site tables serve both its step of the
+        # string and its dense matrix
+        params, _ = draw_model(rng, L, routes=("algebra",))
+        lams = draw_spectral(rng, L + 1)
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return weights(*args)
+
+        monkeypatch.setattr(rmatrix, "weights", counted)
+        nilpotency_norm(params, lams)
+        assert built
+        assert len(set(built)) == len(built)
+        assert len(built) <= (L + 1) * L * (L + 1)
+
     @pytest.mark.parametrize("L", [1, 2, 3, 4])
     def test_dense_entry_builds_site_tables_once(self, rng, monkeypatch, L):
         # one table set for all 2^L basis columns, and every column the
@@ -247,7 +272,7 @@ class TestSiteTables:
         dim = 1 << L
         for which in "ABCD":
             built.clear()
-            m = monodromy_entry(which, lams[0], params.theta, params)
+            m = dense(monodromy_entry(which, lams[0], params.theta, params))
             assert len(built) <= L * (L + 1)
             assert len(set(built)) == len(built)
             for b in range(dim):
@@ -333,3 +358,122 @@ class TestHighestString:
         for L in (1, 2, 3):
             params, lams = draw_model(rng, L, routes=("algebra",))
             assert lowest_weight_residual(params, lams) < 1e-11
+
+
+def numpy_commutation(l1, l2, theta, params):
+    """Oracle: the exchange-relation residuals on numpy arrays."""
+    g = params.gamma
+    q = cmath.exp(g)
+    t = cmath.exp(theta)
+    kvec = q ** np.array(cartan_h(params.L))
+
+    def mat(which, lam, th):
+        return dense(monodromy_entry(which, lam, th, params))
+
+    def rel(lhs, rhs):
+        scale = max(float(np.abs(lhs).max()), float(np.abs(rhs).max()))
+        return 0.0 if scale == 0.0 else float(np.abs(lhs - rhs).max()) / scale
+
+    def kcomb(c_inv, c_dir):
+        return c_inv / kvec + c_dir * kvec
+
+    g_main = kcomb(t * q ** 2, -(q ** -2) / t)
+    g_one = kcomb(t * q, -1 / (t * q))
+    xb1, xb2 = cmath.exp(l1), cmath.exp(l2)
+    g_cross = kcomb(t * q * xb1 / xb2, -xb2 / (xb1 * t * q))
+    out = {}
+    out["bb"] = rel(mat("B", l1, theta) @ mat("B", l2, theta + g),
+                    mat("B", l2, theta) @ mat("B", l1, theta + g))
+    out["ab"] = rel(
+        mat("A", l1, theta + g) @ mat("B", l2, theta),
+        (s(l2 - l1 + g) / s(l2 - l1)) * (s(theta + g) / s(theta + 2 * g))
+        * (mat("B", l2, theta + g) @ mat("A", l1, theta + 2 * g))
+        - (s(theta + g - l2 + l1) / s(l2 - l1)) * (s(g) / s(theta + 2 * g))
+        * (mat("B", l1, theta + g) @ mat("A", l2, theta + 2 * g)))
+    out["db"] = rel(
+        mat("D", l1, theta - g) @ mat("B", l2, theta),
+        (s(l1 - l2 + g) / s(l1 - l2))
+        * (mat("B", l2, theta - g) @ mat("D", l1, theta))
+        * (g_one / g_main)[None, :]
+        - (s(g) / s(l1 - l2))
+        * (mat("B", l1, theta - g) @ mat("D", l2, theta))
+        * (g_cross / g_main)[None, :])
+    out["cb"] = rel(
+        mat("C", l1, theta + g) @ mat("B", l2, theta),
+        (s(theta) / s(theta + g))
+        * (mat("B", l2, theta + g) @ mat("C", l1, theta + 2 * g))
+        * (g_one / g_main)[None, :]
+        + (s(g) / s(theta + g)) * (s(theta + g + l1 - l2) / s(l1 - l2))
+        * (mat("A", l2, theta + g) @ mat("D", l1, theta))
+        * (g_one / g_main)[None, :]
+        - (s(g) / s(l1 - l2))
+        * (mat("A", l1, theta + g) @ mat("D", l2, theta))
+        * (g_cross / g_main)[None, :])
+    for key, which, factor in (("ak", "A", 1), ("bk", "B", q ** 2),
+                               ("ck", "C", q ** -2), ("dk", "D", 1)):
+        m = mat(which, l1, theta)
+        out[key] = rel(m * kvec[None, :], factor * (m * kvec[:, None]))
+    return out
+
+
+def numpy_cbb(n, lambdas, theta, params):
+    """Oracle: the annihilator-through-creators residual on numpy arrays."""
+    lam = [complex(z) for z in lambdas]
+    lhs = creation_string(params, lam[1:], theta, list(range(n)))
+    lhs = np.asarray(apply_monodromy_entry("C", lam[0], theta + params.gamma,
+                                           params, lhs))
+    terms = [c * np.asarray(creation_string(params, args, theta,
+                                            list(range(1, n))))
+             for c, args in exchange_terms(lam, theta, params, n)]
+    rhs = np.sum(np.stack(terms), axis=0)
+    scale = max([float(np.linalg.norm(lhs))]
+                + [float(np.linalg.norm(v)) for v in terms])
+    return float(np.linalg.norm(lhs - rhs)) / scale
+
+
+def numpy_nilpotency(params, lambdas):
+    """Oracle: the over-long creation string's norm ratio on numpy arrays."""
+    L = params.L
+    v = np.asarray(creation_string(params, list(lambdas), params.theta,
+                                   list(range(L + 1))))
+    scale = 1.0
+    for j in range(L + 1):
+        m = dense(monodromy_entry("B", lambdas[j],
+                                  params.theta + j * params.gamma, params))
+        scale *= float(np.abs(m).max())
+    return float(np.linalg.norm(v)) / scale
+
+
+class TestNumpyOracles:
+    """The pure-Python dense checks against numpy transcriptions."""
+
+    G, TH = 0.31 + 0.12j, 0.57 - 0.08j
+
+    @pytest.mark.parametrize("L", [2, 3])
+    def test_commutation_residuals(self, rng, L):
+        for _ in range(6):
+            params = ModelParams(gamma=self.G, theta=0.0,
+                                 mu=separated(rng, L), L=L)
+            l1, l2 = separated(rng, 2)
+            got = commutation_residuals(l1, l2, self.TH, params)
+            want = numpy_commutation(l1, l2, self.TH, params)
+            assert set(got) == set(want)
+            for key in got:
+                assert abs(got[key] - want[key]) <= 1e-14, key
+
+    @pytest.mark.parametrize("n,L", [(1, 2), (2, 2), (2, 3), (3, 3)])
+    def test_cbb_residual(self, rng, n, L):
+        for _ in range(4):
+            params = ModelParams(gamma=self.G, theta=0.0,
+                                 mu=separated(rng, L), L=L)
+            lams = separated(rng, n + 1)
+            assert abs(cbb_residual(n, lams, self.TH, params)
+                       - numpy_cbb(n, lams, self.TH, params)) <= 1e-14
+
+    @pytest.mark.parametrize("L", [1, 2, 3])
+    def test_nilpotency_norm(self, rng, L):
+        for _ in range(4):
+            params, _ = draw_model(rng, L, routes=("algebra",))
+            lams = draw_spectral(rng, L + 1)
+            assert abs(nilpotency_norm(params, lams)
+                       - numpy_nilpotency(params, lams)) <= 1e-14
