@@ -7,9 +7,10 @@ operator-valued shift of the dynamical parameter is resolved by branching
 over the eigenbasis of the spectator height operator.
 
 Everything here is pure Python.  A dense matrix is a plain list of its
-columns, ``m[j][i]`` the entry in row i and column j; ``matmul`` and
-``max_abs`` are the only dense helpers, and ``yb_algebra`` reads the same
-form.  Operator 2-norms come in closed form from the block structure of R.
+columns, ``m[j][i]`` the entry in row i and column j; ``matmul``,
+``max_abs`` and ``max_abs_diff`` are the only dense helpers, and
+``yb_algebra`` reads the same form.  Operator 2-norms come in closed form
+from the block structure of R.
 """
 
 from __future__ import annotations
@@ -86,12 +87,13 @@ def matmul(a: list, b: list) -> list:
 
 
 def max_abs(m) -> float:
-    """Largest entry modulus of a dense matrix given as a list of columns.
-
-    Any iterable of iterable columns will do, such as the lazy difference
-    ``(map(sub, p, q) for p, q in zip(a, b))`` of two matrices.
-    """
+    """Largest entry modulus of a dense matrix: any iterable of columns."""
     return max(map(abs, chain.from_iterable(m)))
+
+
+def max_abs_diff(a: list, b: list) -> float:
+    """Largest entry modulus of a - b, two dense matrices of one shape."""
+    return max_abs(map(sub, p, q) for p, q in zip(a, b))
 
 
 def r_matrix(lam: complex, theta: complex, params: ModelParams) -> list:
@@ -172,7 +174,7 @@ def dybe_residual(l1, l2, l3, theta, params) -> float:
               _embedded_r(l12, theta, params, (0, 1))))
     lhs, rhs = (matmul(matmul(a, b), c) for (a, _), (b, _), (c, _) in sides)
     scale = max(math.prod(norm for _, norm in side) for side in sides)
-    return max_abs(map(sub, p, q) for p, q in zip(lhs, rhs)) / scale
+    return max_abs_diff(lhs, rhs) / scale
 
 
 def unitarity_residual(lam, theta, params) -> float:
@@ -205,4 +207,4 @@ def ice_residual(lam, theta, params) -> float:
             for j, h in enumerate((2.0, 0.0, 0.0, -2.0))]
     r = r_matrix(lam, theta, params)
     lhs, rhs = matmul(r, spin), matmul(spin, r)
-    return max_abs(map(sub, p, q) for p, q in zip(lhs, rhs)) / max_abs(r)
+    return max_abs_diff(lhs, rhs) / max_abs(r)

@@ -36,7 +36,7 @@ from .core import (
     s,
     validate,
 )
-from .rmatrix import WeightTables, matmul, max_abs
+from .rmatrix import WeightTables, matmul, max_abs, max_abs_diff
 
 
 class SingularKFactor(ValidationError):
@@ -139,11 +139,19 @@ def creation_string(params: ModelParams, lambdas, theta: complex,
     """
     if len(lambdas) != len(offsets):
         raise BadLength("one offset per creation factor is required")
-    v, _ = vacuum_states(params.L)
-    for j in reversed(range(len(lambdas))):
-        v = apply_monodromy_entry(
-            "B", lambdas[j], theta + offsets[j] * params.gamma, params, v
-        )
+    return _string([_sites(lam, theta + k * params.gamma, params)
+                    for lam, k in zip(lambdas, offsets)], params.L)
+
+
+def _string(factors: list, L: int) -> list:
+    """The all-up state under a string of B factors, the last one first.
+
+    ``factors[j]`` holds the site ``WeightTables`` of factor j, as built by
+    ``_sites``.
+    """
+    v, _ = vacuum_states(L)
+    for sites in reversed(factors):
+        v = _propagate("B", sites, v)
     return v
 
 
@@ -163,7 +171,7 @@ def _rel(lhs: list, rhs: list) -> float:
     scale = max(max_abs(lhs), max_abs(rhs))
     if scale == 0.0:
         return 0.0
-    return max_abs(map(sub, p, q) for p, q in zip(lhs, rhs)) / scale
+    return max_abs_diff(lhs, rhs) / scale
 
 
 def _norm(v) -> float:
@@ -324,9 +332,7 @@ def nilpotency_norm(params: ModelParams, lambdas) -> float:
         raise TooLarge("nilpotency check materializes matrices; L capped at 6")
     factors = [_sites(complex(z), params.theta + j * params.gamma, params)
                for j, z in enumerate(lambdas)]
-    v, _ = vacuum_states(L)
-    for sites in reversed(factors):
-        v = _propagate("B", sites, v)
+    v = _string(factors, L)
     scale = math.prod(max_abs(_dense("B", sites)) for sites in factors)
     if scale == 0.0:
         return _norm(v)
