@@ -9,8 +9,8 @@ over the eigenbasis of the spectator height operator.
 Everything here is pure Python.  A dense matrix is a plain list of its
 columns, ``m[j][i]`` the entry in row i and column j; ``matmul``,
 ``max_abs`` and ``max_abs_diff`` are the only dense helpers, and
-``yb_algebra`` reads the same form.  Operator 2-norms come in closed form
-from the block structure of R.
+``yb_algebra`` reads the same form.  Each residual here is scaled by the
+largest entries of the matrices it multiplies.
 """
 
 from __future__ import annotations
@@ -107,35 +107,14 @@ def r_matrix(lam: complex, theta: complex, params: ModelParams) -> list:
     return m
 
 
-def r_norm(r: list) -> float:
-    """Operator 2-norm of a 4x4 R-matrix, in closed form.
-
-    R is the direct sum of a, B and a, with B the 2x2 block on (+-, -+), so
-    its norm is the larger of |a| and the largest singular value of B.  With
-    u = det B / |det B| the sum and the difference of B's two singular
-    values are the 2-norms of (b11 + u conj(b22), b12 - u conj(b21)) and
-    (b11 - u conj(b22), b12 + u conj(b21)); unlike the root of
-    F^2 - 4|det B|^2, F the squared Frobenius norm, this keeps full
-    precision where the two singular values meet, as they do at lam = 0.
-    """
-    b11, b21, b12, b22 = r[1][1], r[1][2], r[2][1], r[2][2]
-    det = b11 * b22 - b12 * b21
-    u = det / abs(det) if det else 1.0
-    x, y = u * b22.conjugate(), u * b21.conjugate()
-    sigma = (math.hypot(abs(b11 + x), abs(b12 - y))
-             + math.hypot(abs(b11 - x), abs(b12 + y))) / 2
-    return max(abs(r[0][0]), sigma)
-
-
 def _embedded_r(lam, theta, params, pair, branched=False):
-    """8x8 R-matrix acting on two of three two-state sites, with its 2-norm.
+    """8x8 R-matrix acting on two of three two-state sites.
 
     ``pair`` gives the (first, second) site indices in 0..2; the third site
     is the spectator, and the block acts as the identity on it.  When
     ``branched``, the dynamical argument is theta - gamma * h with h = +1/-1
-    the spectator spin (bit 0/1), one ``r_matrix`` block per spin.  The
-    matrix is a direct sum of its blocks, so its 2-norm is the largest
-    block norm.  Site 0 is the high bit of the basis index.
+    the spectator spin (bit 0/1), one ``r_matrix`` block per spin.  Site 0
+    is the high bit of the basis index.
     """
     p, q = pair
     if branched:
@@ -153,17 +132,18 @@ def _embedded_r(lam, theta, params, pair, branched=False):
             bits[p], bits[q] = row >> 1, row & 1
             col[(bits[0] << 2) | (bits[1] << 1) | bits[2]] = val
         out.append(col)
-    return out, max(map(r_norm, blocks))
+    return out
 
 
 def dybe_residual(l1, l2, l3, theta, params) -> float:
-    """DYBE residual over the larger product of one side's factor 2-norms.
+    """DYBE residual over the larger of the sides' factor max-abs products.
 
     The residual is the max-abs entry of LHS - RHS of the dynamical
-    Yang-Baxter relation as 8x8 matrices.  The factor-norm product is the
-    forward-error scale of a triple matrix product; a small
-    sinh(theta + n*gamma) can make single factors large while both sides
-    stay of order one.
+    Yang-Baxter relation as 8x8 matrices.  The product of the factors'
+    largest entries bounds the rounding error of each entry of a triple
+    matrix product (Higham, Accuracy and Stability of Numerical
+    Algorithms, sec. 3.5); a small sinh(theta + n*gamma) can make single
+    factors large while both sides stay of order one.
     """
     l12, l13, l23 = l1 - l2, l1 - l3, l2 - l3
     sides = ((_embedded_r(l12, theta, params, (0, 1), branched=True),
@@ -172,19 +152,19 @@ def dybe_residual(l1, l2, l3, theta, params) -> float:
              (_embedded_r(l23, theta, params, (1, 2)),
               _embedded_r(l13, theta, params, (0, 2), branched=True),
               _embedded_r(l12, theta, params, (0, 1))))
-    lhs, rhs = (matmul(matmul(a, b), c) for (a, _), (b, _), (c, _) in sides)
-    scale = max(math.prod(norm for _, norm in side) for side in sides)
+    lhs, rhs = (matmul(matmul(a, b), c) for a, b, c in sides)
+    scale = max(math.prod(map(max_abs, side)) for side in sides)
     return max_abs_diff(lhs, rhs) / scale
 
 
 def unitarity_residual(lam, theta, params) -> float:
-    """Unitarity residual over the product of the two factor 2-norms.
+    """Unitarity residual over the product of the factors' max-abs entries.
 
     The residual is the max-abs entry of
     R(lam) P R(-lam) P - sinh(g+lam) sinh(g-lam) Id.  As for the DYBE, the
-    factor-norm product is the forward-error scale: near a zero of
-    sinh(theta) both factors grow like 1/sinh(theta) while the product
-    stays of the size of sinh(g+lam) sinh(g-lam).
+    product of the factors' largest entries is the forward-error scale:
+    near a zero of sinh(theta) both factors grow like 1/sinh(theta) while
+    the product stays of the size of sinh(g+lam) sinh(g-lam).
     """
     swap = [[1 + 0j if i == j else 0j for i in range(4)] for j in (0, 2, 1, 3)]
     g = params.gamma
@@ -192,7 +172,7 @@ def unitarity_residual(lam, theta, params) -> float:
     r2 = r_matrix(-lam, theta, params)
     target = s(g + lam) * s(g - lam)
     lhs = matmul(matmul(matmul(r1, swap), r2), swap)
-    scale = r_norm(r1) * r_norm(r2)
+    scale = max_abs(r1) * max_abs(r2)
     return max_abs([z - target if i == j else z for i, z in enumerate(col)]
                    for j, col in enumerate(lhs)) / scale
 

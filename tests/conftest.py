@@ -19,23 +19,18 @@ def broken_weights(monkeypatch):
     """Patch ``rmatrix.weights`` so that the identities fail at order 0.1.
 
     A residual near rounding cannot tell a faithful port of its check from
-    a wrong numerator or scale; a residual of order 0.1 can.  The returned
-    function scales one c-weight by 1.1, which keeps the block structure of
-    R; with ``ice_rule=False`` it also adds two entries that flip the first
-    spin alone, which breaks the ice rule, the Cartan relations and the
-    nilpotency of B as well.
+    a wrong numerator or scale; a residual of order 0.1 can.  The patch
+    scales one c-weight by 1.1 and adds two entries that flip the first
+    spin alone, which breaks the ice rule and the nilpotency of B as well.
     """
     real = rmatrix.weights
 
-    def patch(ice_rule=True):
-        def broken(lam, theta, params):
-            w = real(lam, theta, params)
-            w[1, 2] *= 1.1
-            if not ice_rule:
-                w[0, 2] = w[2, 0] = 0.1 * w[0, 0]
-            return w
-        monkeypatch.setattr(rmatrix, "weights", broken)
-    return patch
+    def broken(lam, theta, params):
+        w = real(lam, theta, params)
+        w[1, 2] *= 1.1
+        w[0, 2] = w[2, 0] = 0.1 * w[0, 0]
+        return w
+    monkeypatch.setattr(rmatrix, "weights", broken)
 
 
 @pytest.fixture

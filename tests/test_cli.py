@@ -431,6 +431,26 @@ class TestBenchCommand:
         with pytest.raises(TooLarge):
             size_check(last + 1)
 
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_bench_evaluates_each_route_once_untimed(self, route, capsys,
+                                                     monkeypatch):
+        # the first draw is evaluated once before the timed rows, so that
+        # no row times a lazy import
+        calls = []
+
+        def evaluate(params, lams, contour):
+            calls.append(params.L)
+            return 1j, None
+
+        monkeypatch.setitem(ROUTE_TABLE, route, dataclasses.replace(
+            ROUTE_TABLE[route], evaluate=evaluate,
+            workload=lambda L, detail: 0))
+        main(["bench", "--lmin", "1", "--lmax", "3", "--routes", route])
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert rows
+        assert len(calls) == len(rows) + 1
+        assert calls[:2] == [1, 1]
+
     def test_bench_bad_flags_rejected(self, capsys):
         code = main(["bench", "--lmin", "2", "--lmax", "1",
                      "--routes", "face"])

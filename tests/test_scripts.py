@@ -18,6 +18,9 @@ def _load(name):
 @pytest.mark.parametrize("name, argv", [
     ("compare_routes",
      ["--lmin", "1", "--lmax", "3", "--draws", "1", "--seed", "0"]),
+    # the command the README quotes for the routes' agreement
+    ("compare_routes",
+     ["--lmin", "1", "--lmax", "5", "--draws", "2", "--seed", "0"]),
 ])
 def test_script_main_returns_zero(name, argv, capsys):
     assert _load(name).main(argv) == 0

@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+from sosdw import closed_form, rmatrix
 from sosdw.verify import SUITE_NAMES, THRESHOLDS, CheckRow, run_suite
 
 
@@ -101,3 +102,57 @@ def test_different_seeds_draw_different_points():
     a = run_suite("dybe", seed=0, draws=2)
     b = run_suite("dybe", seed=1, draws=2)
     assert [r.residual for r in a.rows] != [r.residual for r in b.rows]
+
+
+def _scaled_weight(monkeypatch):
+    """Defect: the (+-, -+) weight entry, (1, 2), scaled by 1 + 1e-8."""
+    real = rmatrix.weights
+
+    def broken(lam, theta, params):
+        w = real(lam, theta, params)
+        w[1, 2] *= 1 + 1e-8
+        return w
+    monkeypatch.setattr(rmatrix, "weights", broken)
+
+
+def _scaled_permutation_term(monkeypatch):
+    """Defect: the first permutation term scaled by 1 + 1e-6."""
+    real = closed_form._permutation_terms
+
+    def broken(params, lambdas):
+        terms = real(params, lambdas)
+        terms[0] *= 1 + 1e-6
+        return terms
+    monkeypatch.setattr(closed_form, "_permutation_terms", broken)
+
+
+def _scaled_coeff_m(monkeypatch):
+    """Defect: the first-family exchange coefficient scaled by 1 + 1e-8."""
+    real = closed_form.coeff_M
+    monkeypatch.setattr(closed_form, "coeff_M",
+                        lambda *args: real(*args) * (1 + 1e-8))
+
+
+# Each seeded defect against every suite that must catch it, at seed 0 with
+# 20 draws.  Four suites are blind to all three defects (ROADMAP direction
+# 5): ice and nilpotency read exactly 0, since they check the entries'
+# layout rather than their values; zeroes stays at 1.9e-17, since every
+# permutation term vanishes at the pinned zeros; degree reads at most
+# 1.6e-13, since a rescaled term keeps the degree.  Nothing is asserted
+# about them here, nor about ode and contour, which no defect here reaches.
+MUTATIONS = [
+    pytest.param(defect, suite, id=f"{defect.__name__.strip('_')}-{suite}")
+    for defect, suites in (
+        (_scaled_weight, ("dybe", "unitarity", "hexagon", "commut", "cbb")),
+        (_scaled_permutation_term, ("functional", "symmetry", "asymptotic")),
+        (_scaled_coeff_m, ("functional", "cbb")),
+    )
+    for suite in suites
+]
+
+
+@pytest.mark.parametrize("defect, suite", MUTATIONS)
+def test_seeded_defect_fails_a_row(defect, suite, monkeypatch):
+    assert run_suite(suite, seed=0, draws=20).passed
+    defect(monkeypatch)
+    assert not run_suite(suite, seed=0, draws=20).passed

@@ -135,6 +135,19 @@ class TestMonodromy:
         with pytest.raises(Exception):
             monodromy_entry("E", 0.1, 0.2, P2)
 
+    @pytest.mark.parametrize("L", [2, 3])
+    def test_dense_entries_move_spin_sectors(self, rng, L):
+        # the ice-rule layout of every entry: A and D keep the total spin,
+        # B lowers it by 2 and C raises it by 2, which is what the exchange
+        # relations with the Cartan factor q^H amount to
+        params, lams = draw_model(rng, L, routes=("algebra",))
+        h = cartan_h(L)
+        for which, step in (("A", 0), ("B", -2), ("C", 2), ("D", 0)):
+            m = monodromy_entry(which, lams[0], params.theta, params)
+            moves = {h[i] - h[j] for j, col in enumerate(m)
+                     for i, z in enumerate(col) if z}
+            assert moves == {step}, which
+
     def test_creation_conserves_spin_sector(self):
         v = creation_string(P2, (0.41 + 0.05j, 0.18 - 0.27j),
                             P2.theta, (1, 2))
@@ -293,8 +306,7 @@ class TestExchangeRelations:
             params = ModelParams(gamma=g, theta=0.0, mu=mu, L=L)
             l1, l2 = separated(rng, 2)
             res = commutation_residuals(l1, l2, th, params)
-            assert set(res) == {"bb", "ab", "db", "cb",
-                                "ak", "bk", "ck", "dk"}
+            assert set(res) == {"bb", "ab", "db", "cb"}
             for key, val in res.items():
                 assert val < 1e-11, (key, val)
 
@@ -303,7 +315,7 @@ class TestExchangeRelations:
             commutation_residuals(0.4, 0.4, 0.57 - 0.08j, P2)
 
     def test_each_distinct_entry_is_built_once(self, monkeypatch):
-        # 28 matrix uses, 17 distinct (entry, lambda, theta), and one set of
+        # 24 matrix uses, 15 distinct (entry, lambda, theta), and one set of
         # site tables for each of the 8 distinct (lambda, theta); the caches
         # leave every residual bit-identical
         calls = []
@@ -316,12 +328,12 @@ class TestExchangeRelations:
         monkeypatch.setattr(yb_algebra, "_dense", counted)
         args = (0.21 - 0.13j, -0.34 + 0.08j, 0.57 - 0.08j, P2)
         cached = commutation_residuals(*args)
-        assert len(calls) == len(set(calls)) == 17
+        assert len(calls) == len(set(calls)) == 15
         assert len({sites for _, sites in calls}) == 8
         calls.clear()
         monkeypatch.setattr(yb_algebra.functools, "cache", lambda f: f)
         assert commutation_residuals(*args) == cached
-        assert len(calls) == 28
+        assert len(calls) == 24
 
 
 class TestOperatorRecursion:
@@ -409,10 +421,6 @@ def numpy_commutation(l1, l2, theta, params):
         - (s(g) / s(l1 - l2))
         * (mat("A", l1, theta + g) @ mat("D", l2, theta))
         * (g_cross / g_main)[None, :])
-    for key, which, factor in (("ak", "A", 1), ("bk", "B", q ** 2),
-                               ("ck", "C", q ** -2), ("dk", "D", 1)):
-        m = mat(which, l1, theta)
-        out[key] = rel(m * kvec[None, :], factor * (m * kvec[:, None]))
     return out
 
 
@@ -460,7 +468,6 @@ class TestNumpyOracles:
 
     @pytest.mark.parametrize("L", [2, 3])
     def test_commutation_residuals(self, rng, broken_weights, L):
-        broken_weights(ice_rule=False)
         for _ in range(6):
             params = ModelParams(gamma=self.G, theta=0.0,
                                  mu=separated(rng, L), L=L)
@@ -473,7 +480,6 @@ class TestNumpyOracles:
 
     @pytest.mark.parametrize("n,L", [(1, 2), (2, 2), (2, 3), (3, 3)])
     def test_cbb_residual(self, rng, broken_weights, n, L):
-        broken_weights(ice_rule=False)
         for _ in range(4):
             params = ModelParams(gamma=self.G, theta=0.0,
                                  mu=separated(rng, L), L=L)
@@ -483,7 +489,6 @@ class TestNumpyOracles:
 
     @pytest.mark.parametrize("L", [1, 2, 3])
     def test_nilpotency_norm(self, rng, broken_weights, L):
-        broken_weights(ice_rule=False)
         for _ in range(4):
             params, _ = draw_model(rng, L, routes=("algebra",))
             lams = draw_spectral(rng, L + 1)
