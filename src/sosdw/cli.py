@@ -27,6 +27,7 @@ from .sampling import draw_model
 from .verify import SUITE_NAMES, run_suite
 
 DEFAULT_TOLERANCES = {"route_agreement": 1e-9}
+BENCH_REPEATS = 3  # timed evaluations per bench row; the row reports their median
 
 _CONFIG_KEYS = {"L", "gamma", "theta", "mu", "lambda", "routes", "seed",
                 "tolerances", "contour"}
@@ -279,9 +280,12 @@ def cmd_bench(args) -> int:
             if L == args.lmin:
                 # untimed, so that no row times a lazy import
                 spec.evaluate(params, lams, None)
-            t0 = time.perf_counter()
-            value, detail = spec.evaluate(params, lams, None)
-            wall_ms = (time.perf_counter() - t0) * 1e3
+            samples = []
+            for _ in range(BENCH_REPEATS):
+                t0 = time.perf_counter()
+                value, detail = spec.evaluate(params, lams, None)
+                samples.append((time.perf_counter() - t0) * 1e3)
+            wall_ms = sorted(samples)[BENCH_REPEATS // 2]  # the median
             rows.append(
                 f"{route},{L},{spec.workload(L, detail)},{wall_ms:.3f},"
                 f"{_g17(value.real)},{_g17(value.imag)}"

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import cmath
 import importlib
-import itertools
 import math
 import os
 from collections.abc import Callable
@@ -95,24 +94,48 @@ def pairwise_sum(values) -> complex:
 
 
 def ordering_terms(site, pair) -> list:
-    """One product per ordering a of range(len(site)).
+    """One product per ordering a of range(len(site)), in permutations order.
 
-    The term of ``a`` is prod_p site[p][a_p] times prod_{p<m} pair[a_m][a_p],
-    the site factors multiplied position by position, then the pair factors
-    for p = 0.. and m = p+1.. in turn.  Both L! routes sum these terms, each
-    over its own factor tables.
+    The term of ``a`` is prod_p site[p][a_p] times prod_{p<m} pair[a_m][a_p].
+    Placing element e after the set S of elements already placed multiplies
+    by step[S][e] = site[|S|][e] * prod_{x in S} pair[e][x], so a term is the
+    prefix product ((1 * step[{}][a_0]) * step[{a_0}][a_1]) * ... taken left
+    to right along the ordering.  The table has 2^L * L entries: the pair
+    product of S extends that of S minus its lowest element by one
+    multiplication (so the pair factors enter highest x first), and the site
+    factor multiplies it last.  The walk shares each prefix product among
+    the orderings that begin with it, so a term costs about one
+    multiplication.  Both L! routes sum these terms, each over its own
+    factor tables.
     """
     L = len(site)
-    terms = []
-    for a in itertools.permutations(range(L)):
-        v = 1.0 + 0j
-        for p in range(L):
-            v *= site[p][a[p]]
-        for p in range(L):
-            for m in range(p + 1, L):
-                v *= pair[a[m]][a[p]]
-        terms.append(v)
-    return terms
+    # steps[S]: (S | 1 << e, step[S][e]) for each e not in S, e increasing
+    prods = [1.0 + 0j] * L  # prods[S * L + e] = prod_{x in S} pair[e][x]
+    steps = [[(1 << e, site[0][e]) for e in range(L)]]
+    for S in range(1, (1 << L) - 1):  # the full set takes no step
+        x = (S & -S).bit_length() - 1
+        base = (S & (S - 1)) * L
+        row = site[S.bit_count()]
+        step = []
+        for e in range(L):
+            v = prods[base + e] * pair[e][x]
+            prods.append(v)
+            if not S >> e & 1:
+                step.append((S | 1 << e, row[e] * v))
+        steps.append(step)
+    level = [(0, 1.0 + 0j)]
+    for _ in range(L - 4 if L > 4 else L):
+        level = [(T, v * t) for S, v in level for T, t in steps[S]]
+    if L <= 4:
+        return [v for _, v in level]
+    # The last four steps, fused, so that no list of more than L!/24
+    # prefixes is held beside the terms.
+    return [vtuw * y
+            for S, v in level
+            for T, t in steps[S] for vt in (v * t,)
+            for U, u in steps[T] for vtu in (vt * u,)
+            for W, w in steps[U] for vtuw in (vtu * w,)
+            for _, y in steps[W]]
 
 
 def _need_finite(value: complex, what: str) -> None:

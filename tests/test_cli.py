@@ -5,12 +5,14 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import types
 import warnings
 
 import pytest
 
-from sosdw import verify
+from sosdw import cli, verify
 from sosdw.cli import (
+    BENCH_REPEATS,
     DEFAULT_TOLERANCES,
     ConfigError,
     load_job_config,
@@ -448,8 +450,28 @@ class TestBenchCommand:
         main(["bench", "--lmin", "1", "--lmax", "3", "--routes", route])
         rows = capsys.readouterr().out.splitlines()[1:]
         assert rows
-        assert len(calls) == len(rows) + 1
-        assert calls[:2] == [1, 1]
+        sizes = [int(r.split(",")[1]) for r in rows]
+        assert calls == [1] + [L for L in sizes for _ in range(BENCH_REPEATS)]
+
+    def test_bench_row_reports_median_of_timed_evaluations(self, capsys,
+                                                            monkeypatch):
+        # a stub clock that each evaluation advances by its own duration:
+        # untimed warm-up, then 5, 1 and 3 ms
+        clock = [0.0]
+        durations = iter([0.0, 0.005, 0.001, 0.003])
+
+        def evaluate(params, lams, contour):
+            clock[0] += next(durations)
+            return 1j, None
+
+        monkeypatch.setattr(cli, "time", types.SimpleNamespace(
+            perf_counter=lambda: clock[0]))
+        monkeypatch.setitem(ROUTE_TABLE, "face", dataclasses.replace(
+            ROUTE_TABLE["face"], evaluate=evaluate,
+            workload=lambda L, detail: 0))
+        main(["bench", "--lmin", "1", "--lmax", "1", "--routes", "face"])
+        row = capsys.readouterr().out.splitlines()[1]
+        assert float(row.split(",")[3]) == pytest.approx(3.0)
 
     def test_bench_bad_flags_rejected(self, capsys):
         code = main(["bench", "--lmin", "2", "--lmax", "1",

@@ -146,7 +146,11 @@ class TestPairMatrix:
 
 
 def transcribed_residue_terms(params, lams):
-    """The residue terms written out with core.s, factor by factor."""
+    """The residue terms written out with core.s, factor by factor.
+
+    The products follow ``core.ordering_terms``' order, so the route must
+    match them bit for bit.
+    """
     g, th, mu, L = params.gamma, params.theta, params.mu, params.L
     site = []
     for j in range(L):
@@ -163,18 +167,23 @@ def transcribed_residue_terms(params, lams):
     terms = []
     for order in itertools.permutations(range(L)):
         v = 1.0 + 0j
-        for p in range(L):
-            v *= site[p][order[p]]
-        for p in range(L):
-            for m in range(p + 1, L):
-                gap = lams[order[m]] - lams[order[p]]
-                v *= s(gap + g) * s(gap)
+        for p, a in enumerate(order):
+            # the step of pole a after order[:p]: its pair factors, the
+            # highest earlier pole first, then its site factor
+            step = site[p][a]
+            if p:
+                f = 1.0 + 0j
+                for b in sorted(order[:p], reverse=True):
+                    gap = lams[a] - lams[b]
+                    f = f * (s(gap + g) * s(gap))
+                step = step * f
+            v = v * step
         terms.append(v)
     return terms
 
 
 class TestResidueSum:
-    @pytest.mark.parametrize("L", [1, 2, 3, 4])
+    @pytest.mark.parametrize("L", [1, 2, 3, 4, 5, 6])
     def test_bit_identical_to_transcription(self, rng, L):
         # crosscheck verdicts at L=8 sit near the 1e-9 agreement gate, so
         # the residue values must not move by a single bit

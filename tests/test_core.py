@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sosdw import closed_form, contour
 from sosdw.core import (
     EPS_SEP,
     EPS_SING,
@@ -36,6 +37,7 @@ from sosdw.core import (
     s,
     validate,
 )
+from sosdw.sampling import draw_model
 from sosdw.verify import SUITE_NAMES
 
 finite = st.floats(min_value=-3.0, max_value=3.0,
@@ -68,7 +70,7 @@ class TestOrderingTerms:
                             for p in range(L) for m in range(p + 1, L))
                 for a in itertools.permutations(range(L))]
 
-    @pytest.mark.parametrize("L", [1, 2, 3, 4])
+    @pytest.mark.parametrize("L", [1, 2, 3, 4, 5, 6, 7])
     def test_matches_direct_product(self, L):
         rng = random.Random(4100 + 10 * L)
         draw = lambda: complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
@@ -79,6 +81,27 @@ class TestOrderingTerms:
         assert len(got) == math.factorial(L)
         for g, w in zip(got, want):
             assert abs(g - w) <= 1e-14 * abs(w)
+
+    @pytest.mark.parametrize("L", [6, 8])
+    @pytest.mark.parametrize("module, route", [
+        (closed_form, "partition_permutation_sum"),
+        (contour, "partition_residue"),
+    ])
+    def test_route_sums_one_term_per_ordering(self, module, route, L,
+                                              monkeypatch):
+        # the benchmark's traced run pins this count at L!
+        handed = []
+
+        def counting_sum(values):
+            vals = list(values)
+            handed.append(len(vals))
+            return pairwise_sum(vals)
+
+        monkeypatch.setattr(module, "pairwise_sum", counting_sum)
+        params, lams = draw_model(random.Random(4200 + L), L,
+                                  routes=("permutation", "residue"))
+        getattr(module, route)(params, lams)
+        assert handed == [math.factorial(L)]
 
 
 class TestPairwiseSum:

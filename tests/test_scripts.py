@@ -21,6 +21,9 @@ def _load(name):
     # the command the README quotes for the routes' agreement
     ("compare_routes",
      ["--lmin", "1", "--lmax", "5", "--draws", "2", "--seed", "0"]),
+    # the agreement gate at the L! routes' cap
+    ("compare_routes",
+     ["--lmin", "6", "--lmax", "8", "--draws", "6", "--seed", "0"]),
 ])
 def test_script_main_returns_zero(name, argv, capsys):
     assert _load(name).main(argv) == 0
