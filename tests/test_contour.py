@@ -186,7 +186,8 @@ class TestResidueSum:
     @pytest.mark.parametrize("L", [1, 2, 3, 4, 5, 6])
     def test_bit_identical_to_transcription(self, rng, L):
         # crosscheck verdicts at L=8 sit near the 1e-9 agreement gate, so
-        # the residue values must not move by a single bit
+        # the transcription follows ordering_terms' product order bit for
+        # bit: a change to that order must update both together
         for _ in range(3):
             params, lams = draw_model(rng, L, routes=("residue",))
             lams = tuple(complex(z) for z in lams)
