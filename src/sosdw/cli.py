@@ -13,9 +13,8 @@ import math
 import random
 import sys
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .contour import ContourSpec
 from .core import (
     ModelParams,
     NumericalError,
@@ -60,16 +59,15 @@ def _parse_complex(obj, where) -> complex:
                    _need_number(obj["im"], f"{where}.im"))
 
 
-@dataclass(frozen=True)
-class JobConfig:
-    """A fully parsed and validated compute job."""
+class JobConfig(namedtuple("JobConfig",
+                            "params lambdas routes seed tolerances contour")):
+    """A fully parsed and validated compute job.
 
-    params: ModelParams
-    lambdas: tuple
-    routes: tuple
-    seed: int
-    tolerances: dict
-    contour: ContourSpec | None
+    ``contour`` is a :class:`sosdw.contour.ContourSpec`, or None when the
+    job gives none.
+    """
+
+    __slots__ = ()
 
 
 def load_job_config(path: str) -> JobConfig:
@@ -142,6 +140,7 @@ def load_job_config(path: str) -> JobConfig:
         nodes = cobj.get("nodes", 64)
         if isinstance(nodes, bool) or not isinstance(nodes, int):
             raise ConfigError("contour.nodes must be an integer")
+        from .contour import ContourSpec
         spec = ContourSpec(
             center=_parse_complex(cobj["center"], "contour.center"),
             radius=_need_number(cobj["radius"], "contour.radius"),

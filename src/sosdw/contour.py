@@ -11,7 +11,7 @@ builds arrays, and it alone imports numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .core import (
     ModelParams,
@@ -38,13 +38,11 @@ class PoleHit(ValidationError):
     """An evaluation point is numerically on top of an integrand pole."""
 
 
-@dataclass(frozen=True)
-class ContourSpec:
+class ContourSpec(namedtuple("ContourSpec", "center radius nodes",
+                              defaults=(64,))):
     """A circular contour shared by all integration variables."""
 
-    center: complex
-    radius: float
-    nodes: int = 64
+    __slots__ = ()
 
 
 def check_contour(spec: ContourSpec, lambdas) -> None:

@@ -15,8 +15,8 @@ import cmath
 import importlib
 import math
 import os
+from collections import namedtuple
 from collections.abc import Callable
-from dataclasses import dataclass
 
 EPS_SING = 1e-8  # minimum |sinh| for any weight or coefficient denominator
 EPS_SEP = 1e-6   # minimum |sinh| separation between spectral parameters
@@ -143,8 +143,7 @@ def _need_finite(value: complex, what: str) -> None:
         raise NonFinite(f"{what} must be finite, got {value}")
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class ModelParams(namedtuple("ModelParams", "gamma theta mu L")):
     """Immutable model data: anisotropy, dynamical parameter, inhomogeneities.
 
     ``mu`` holds the L column inhomogeneities.  Heights are represented
@@ -152,31 +151,31 @@ class ModelParams:
     as absolute complex numbers.
     """
 
-    gamma: complex
-    theta: complex
-    mu: tuple
-    L: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "gamma", complex(self.gamma))
-        object.__setattr__(self, "theta", complex(self.theta))
-        object.__setattr__(self, "mu", tuple(complex(m) for m in self.mu))
-        if isinstance(self.L, bool) or not isinstance(self.L, int):
-            raise BadLength(f"system size must be an integer, got {self.L!r}")
-        if self.L < 1:
-            raise BadLength(f"system size must be at least 1, got {self.L}")
-        if len(self.mu) != self.L:
-            raise BadLength(
-                f"expected {self.L} inhomogeneities, got {len(self.mu)}"
-            )
-        _need_finite(self.gamma, "gamma")
-        _need_finite(self.theta, "theta")
-        for i, m in enumerate(self.mu):
+    def __new__(cls, gamma, theta, mu, L):
+        gamma = complex(gamma)
+        theta = complex(theta)
+        mu = tuple(complex(m) for m in mu)
+        if isinstance(L, bool) or not isinstance(L, int):
+            raise BadLength(f"system size must be an integer, got {L!r}")
+        if L < 1:
+            raise BadLength(f"system size must be at least 1, got {L}")
+        if len(mu) != L:
+            raise BadLength(f"expected {L} inhomogeneities, got {len(mu)}")
+        _need_finite(gamma, "gamma")
+        _need_finite(theta, "theta")
+        for i, m in enumerate(mu):
             _need_finite(m, f"mu[{i}]")
-        if abs(s(self.gamma)) <= EPS_SING:
+        if abs(s(gamma)) <= EPS_SING:
             raise DegenerateGamma(
                 "sinh(gamma) is numerically zero; the model degenerates"
             )
+        return super().__new__(cls, gamma, theta, mu, L)
+
+    def _replace(self, **changes):
+        """A copy with some fields changed, normalised and validated anew."""
+        return type(self)(**{**self._asdict(), **changes})
 
 
 def face_cap() -> int:
@@ -214,22 +213,18 @@ def _exact(module: str, name: str) -> Callable:
     return lambda params, lambdas, contour: (fn(params, lambdas), None)
 
 
-@dataclass(frozen=True)
-class Route:
+class Route(namedtuple("Route", "evaluate workload cap window separated",
+                        defaults=(False,))):
     """One evaluation route: how it runs, how far it reaches, what it checks.
 
     ``evaluate(params, lambdas, contour)`` returns ``(value, detail)``, and
     ``workload(L, detail)`` the number of terms, states or nodes summed.
-    ``window(L)`` holds the offsets n whose denominators
-    sinh(theta + n*gamma) the route divides by; ``separated`` routes also
-    divide by spectral and inhomogeneity gaps.
+    ``cap()`` is the largest accepted L.  ``window(L)`` holds the offsets n
+    whose denominators sinh(theta + n*gamma) the route divides by;
+    ``separated`` routes also divide by spectral and inhomogeneity gaps.
     """
 
-    evaluate: Callable
-    workload: Callable
-    cap: Callable  # () -> largest accepted L
-    window: Callable
-    separated: bool = False
+    __slots__ = ()
 
 
 # Face reads its dynamical argument one step above the top-left height of

@@ -17,34 +17,24 @@ from __future__ import annotations
 
 import cmath
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate
-from typing import Callable
 
-from . import closed_form, contour, face_model, rmatrix, yb_algebra
 from .core import ModelParams, ValidationError, close_pair, s
 from .sampling import draw_complex, draw_model, draw_spectral, first_admissible
 
 
-@dataclass(frozen=True)
-class CheckRow:
+class CheckRow(namedtuple("CheckRow",
+                           "label residual threshold passed detail")):
     """One residual measurement with its verdict and reproduction data."""
 
-    label: str
-    residual: float
-    threshold: float
-    passed: bool
-    detail: str
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(namedtuple("SuiteReport", "suite seed draws rows")):
     """All rows of one suite run."""
 
-    suite: str
-    seed: int
-    draws: int
-    rows: tuple
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -139,10 +129,14 @@ def _qt_floor_ok(params, floor=1e-3) -> bool:
 
 
 # Each check draws the k-th (0-based) parameter set of a suite run and
-# returns (label suffix, residual, reproduce detail).
+# returns (label suffix, residual, reproduce detail).  It imports the route
+# module it evaluates in its body, so that a process running one suite
+# loads and compiles only the modules that suite needs.
 
 
 def _check_dybe(rng, k):
+    from . import rmatrix
+
     params = _draw_params(rng, 1, pred=lambda p: _clear(p, -2, 2))
     l1, l2, l3 = draw_spectral(rng, 3)
     return ("", rmatrix.dybe_residual(l1, l2, l3, params.theta, params),
@@ -150,6 +144,8 @@ def _check_dybe(rng, k):
 
 
 def _check_ice(rng, k):
+    from . import rmatrix
+
     params = _draw_params(rng, 1, pred=lambda p: abs(s(p.theta)) > 1e-3)
     lam = draw_complex(rng)
     return ("", rmatrix.ice_residual(lam, params.theta, params),
@@ -157,6 +153,8 @@ def _check_ice(rng, k):
 
 
 def _check_unitarity(rng, k):
+    from . import rmatrix
+
     params = _draw_params(rng, 1, pred=lambda p: abs(s(p.theta)) > 1e-3)
     g = params.gamma
     lam = first_admissible(
@@ -168,6 +166,8 @@ def _check_unitarity(rng, k):
 
 
 def _check_hexagon(rng, k):
+    from . import face_model
+
     params = _draw_params(rng, 1, pred=lambda p: _clear(p, -4, 4))
     base = rng.randrange(-1, 2)
     steps = [1, 1, 1, -1, -1, -1]
@@ -180,6 +180,8 @@ def _check_hexagon(rng, k):
 
 
 def _check_commut(rng, k):
+    from . import yb_algebra
+
     L = 2 + (k % 2)
     params = _draw_params(
         rng, L,
@@ -193,6 +195,8 @@ def _check_commut(rng, k):
 
 
 def _check_cbb(rng, k):
+    from . import yb_algebra
+
     n, L = ((1, 2), (2, 2), (2, 3), (3, 3))[k % 4]
     params = _draw_params(rng, L,
                           pred=lambda p: _clear(p, -p.L - 1, 2 * p.L + 2))
@@ -203,6 +207,8 @@ def _check_cbb(rng, k):
 
 
 def _check_nilpotency(rng, k):
+    from . import yb_algebra
+
     L = 1 + (k % 3)
     params = _draw_params(
         rng, L, pred=lambda p: _theta_window_ok(p, -p.L - 1, 2 * p.L + 2, 1e-6)
@@ -213,6 +219,8 @@ def _check_nilpotency(rng, k):
 
 
 def _check_functional(rng, k):
+    from . import closed_form
+
     L = 1 + (k % 4)
     params = _draw_params(rng, L, pred=_generic_closed_form)
     lams = _draw_separated(rng, L + 2, 1e-2)
@@ -221,6 +229,8 @@ def _check_functional(rng, k):
 
 
 def _check_zeroes(rng, k):
+    from . import closed_form
+
     L = 2 + (k % 3)
     # The pins mu_1 and mu_1 - gamma sit |sinh gamma| apart, so gamma must
     # clear the separation floor the free values are held to.
@@ -235,6 +245,8 @@ def _check_zeroes(rng, k):
 
 
 def _check_symmetry(rng, k):
+    from . import closed_form
+
     L = 2 + (k % 3)
     params = _draw_params(rng, L, pred=_generic_closed_form)
     lams = first_admissible(
@@ -249,6 +261,8 @@ def _check_symmetry(rng, k):
 
 
 def _check_degree(rng, k):
+    from . import closed_form
+
     L = 1 + (k % 4)
     params = _draw_params(rng, L, pred=_generic_closed_form)
     which = rng.randrange(L)
@@ -258,6 +272,8 @@ def _check_degree(rng, k):
 
 
 def _check_asymptotic(rng, k):
+    from . import closed_form
+
     L = 1 + (k % 3)
     params = _draw_params(
         rng, L, pred=lambda p: _generic_closed_form(p) and _qt_floor_ok(p)
@@ -269,6 +285,8 @@ def _check_asymptotic(rng, k):
 
 
 def _check_ode(rng, k):
+    from . import closed_form
+
     params = _draw_params(
         rng, 1, pred=lambda p: _clear(p, 0, 4) and _qt_floor_ok(p)
     )
@@ -283,6 +301,8 @@ def _spread_ok(params, lams) -> bool:
 
 
 def _check_contour(rng, k):
+    from . import contour
+
     L = 1 + (k % 3)
     params, lams = draw_model(rng, L, routes=("residue", "quadrature"),
                               predicate=_spread_ok)
@@ -292,12 +312,10 @@ def _check_contour(rng, k):
             _where_lams(params, lams))
 
 
-@dataclass(frozen=True)
-class Suite:
+class Suite(namedtuple("Suite", "check threshold")):
     """One identity family: its per-draw check and its pass threshold."""
 
-    check: Callable
-    threshold: float
+    __slots__ = ()
 
 
 SUITES = {

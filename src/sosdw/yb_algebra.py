@@ -23,7 +23,6 @@ import functools
 import math
 from operator import sub
 
-from .closed_form import exchange_terms
 from .core import (
     EPS_SEP,
     BadLength,
@@ -284,6 +283,9 @@ def cbb_residual(n: int, lambdas, theta: complex,
     families with re-indexed creation strings.  The residual is the vector
     2-norm of the difference over the largest participating term norm.
     """
+    # Imported here, so that the algebra route does not load closed_form.
+    from .closed_form import exchange_terms
+
     L = params.L
     if not 1 <= n <= L + 1:
         raise BadLength(f"string length {n} outside 1..{L + 1}")

@@ -8,7 +8,6 @@ to see the verdict lines on passing runs as well.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import random
 import time
@@ -204,10 +203,8 @@ def test_criterion_5_structure_checks():
     for L in (1, 2, 3):
         rng = random.Random(6000 + L)
         params, lams = draw_model(rng, L, routes=("permutation",))
-        za = partition_permutation_sum(
-            dataclasses.replace(params, theta=30.0), lams)
-        zb = partition_permutation_sum(
-            dataclasses.replace(params, theta=35.0), lams)
+        za = partition_permutation_sum(params._replace(theta=30.0), lams)
+        zb = partition_permutation_sum(params._replace(theta=35.0), lams)
         worst_stab = max(worst_stab, abs(za - zb) / abs(za))
     pieces.append(f"large-argument stabilization {worst_stab:.2g}")
     assert worst_stab < 1e-8

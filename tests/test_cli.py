@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import types
@@ -414,8 +413,8 @@ class TestBenchCommand:
         monkeypatch.delenv("SOSDW_MAX_L_FACE", raising=False)
         spec = ROUTE_TABLE[route]
         # bench walks its sizes against a stub; the real route judges them
-        monkeypatch.setitem(ROUTE_TABLE, route, dataclasses.replace(
-            spec, evaluate=lambda p, lams, c: (1j, None),
+        monkeypatch.setitem(ROUTE_TABLE, route, spec._replace(
+            evaluate=lambda p, lams, c: (1j, None),
             workload=lambda L, detail: 0))
         main(["bench", "--lmin", "1", "--lmax", str(spec.cap() + 2),
               "--routes", route])
@@ -444,8 +443,8 @@ class TestBenchCommand:
             calls.append(params.L)
             return 1j, None
 
-        monkeypatch.setitem(ROUTE_TABLE, route, dataclasses.replace(
-            ROUTE_TABLE[route], evaluate=evaluate,
+        monkeypatch.setitem(ROUTE_TABLE, route, ROUTE_TABLE[route]._replace(
+            evaluate=evaluate,
             workload=lambda L, detail: 0))
         main(["bench", "--lmin", "1", "--lmax", "3", "--routes", route])
         rows = capsys.readouterr().out.splitlines()[1:]
@@ -466,8 +465,8 @@ class TestBenchCommand:
 
         monkeypatch.setattr(cli, "time", types.SimpleNamespace(
             perf_counter=lambda: clock[0]))
-        monkeypatch.setitem(ROUTE_TABLE, "face", dataclasses.replace(
-            ROUTE_TABLE["face"], evaluate=evaluate,
+        monkeypatch.setitem(ROUTE_TABLE, "face", ROUTE_TABLE["face"]._replace(
+            evaluate=evaluate,
             workload=lambda L, detail: 0))
         main(["bench", "--lmin", "1", "--lmax", "1", "--routes", "face"])
         row = capsys.readouterr().out.splitlines()[1]

@@ -1,10 +1,13 @@
 """Parameter types, summation helper, and validation gates."""
 
 import cmath
+import functools
 import itertools
 import json
 import math
 import os
+import pickle
+import pkgutil
 import random
 import re
 import subprocess
@@ -126,8 +129,38 @@ class TestPairwiseSum:
 
 class TestModelParams:
     def test_coerces_to_complex(self):
+        p = ModelParams(gamma=0.3, theta=0.5, mu=[0.1], L=1)
+        assert isinstance(p.gamma, complex) and isinstance(p.theta, complex)
+        assert type(p.mu) is tuple and isinstance(p.mu[0], complex)
+
+    def test_immutable(self):
         p = ModelParams(gamma=0.3, theta=0.5, mu=(0.1,), L=1)
-        assert isinstance(p.gamma, complex) and isinstance(p.mu[0], complex)
+        with pytest.raises(AttributeError):
+            p.gamma = 0.4
+        with pytest.raises(AttributeError):
+            p.extra = 1
+
+    def test_hashable_and_equal_by_value(self):
+        p = ModelParams(gamma=0.3, theta=0.5, mu=(0.1, 0.2), L=2)
+        q = ModelParams(gamma=0.3 + 0j, theta=0.5, mu=[0.1, 0.2], L=2)
+        assert p == q and hash(p) == hash(q) and {p: 1}[q] == 1
+        assert p != ModelParams(gamma=0.3, theta=0.6, mu=(0.1, 0.2), L=2)
+        assert pickle.loads(pickle.dumps(p)) == p
+
+    def test_repr(self):
+        p = ModelParams(gamma=0.3, theta=0.5j, mu=(0.1,), L=1)
+        assert repr(p) == ("ModelParams(gamma=(0.3+0j), theta=0.5j, "
+                           "mu=((0.1+0j),), L=1)")
+
+    def test_replace_normalises_and_validates(self):
+        p = ModelParams(gamma=0.3, theta=0.5, mu=(0.1,), L=1)
+        q = p._replace(theta=2)
+        assert type(q) is ModelParams and isinstance(q.theta, complex)
+        assert q == ModelParams(gamma=0.3, theta=2, mu=(0.1,), L=1)
+        with pytest.raises(DegenerateGamma):
+            p._replace(gamma=0)
+        with pytest.raises(BadLength):
+            p._replace(L=2)
 
     def test_length_mismatch(self):
         with pytest.raises(BadLength):
@@ -248,40 +281,55 @@ class TestClosePair:
 NUMPY_FREE_SUITES = tuple(name for name in SUITE_NAMES if name != "contour")
 
 
-def _numpy_loaded_after(probe: str) -> bool:
-    """Run a probe in a fresh interpreter; report whether it loaded numpy.
+def _python(code: str) -> str:
+    """Standard output of ``code`` run in a fresh interpreter on src/."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@functools.cache
+def _bare_modules() -> frozenset:
+    return frozenset(_python("import sys\nprint(*sys.modules)").split())
+
+
+def _loaded_after(probe: str) -> set:
+    """Modules a fresh interpreter loads for a probe, beyond a bare one.
 
     The probe may call ``run(*argv)``, which runs ``cli.main`` and asserts
     exit code 0.
     """
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = {**os.environ, "PYTHONPATH": str(src)}
     probe = ("import contextlib, io, sys\n"
              "def run(*argv):\n"
              "    from sosdw import cli\n"
              "    with contextlib.redirect_stdout(io.StringIO()):\n"
              "        assert cli.main(list(argv)) == 0, argv\n"
-             + probe + "\nprint('numpy' in sys.modules)\n")
-    proc = subprocess.run([sys.executable, "-c", probe], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout.split()[-1] == "True"
+             + probe + "\nprint(*sys.modules)\n")
+    return set(_python(probe).splitlines()[-1].split()) - _bare_modules()
+
+
+def _job_file(folder, routes, **extra) -> str:
+    """An L=3 job file with the given routes; returns its path."""
+    path = folder / f"{'-'.join(routes)}.json"
+    path.write_text(json.dumps({
+        "L": 3, "gamma": {"re": 0.31, "im": 0.12},
+        "theta": {"re": 0.57, "im": -0.08},
+        "mu": [{"re": 0.13, "im": -0.21}, {"re": -0.22, "im": 0.15},
+               {"re": 0.05, "im": 0.3}],
+        "lambda": [{"re": 0.41, "im": 0.05}, {"re": 0.18, "im": -0.27},
+                   {"re": -0.3, "im": 0.1}],
+        "routes": list(routes), **extra}))
+    return str(path)
 
 
 def test_exact_routes_import_without_numpy(tmp_path):
     def job(routes):
-        path = tmp_path / f"{len(routes)}.json"
-        path.write_text(json.dumps({
-            "L": 3, "gamma": {"re": 0.31, "im": 0.12},
-            "theta": {"re": 0.57, "im": -0.08},
-            "mu": [{"re": 0.13, "im": -0.21}, {"re": -0.22, "im": 0.15},
-                   {"re": 0.05, "im": 0.3}],
-            "lambda": [{"re": 0.41, "im": 0.05}, {"re": 0.18, "im": -0.27},
-                       {"re": -0.3, "im": 0.1}],
-            "routes": list(routes)}))
-        return f"run('compute', '--config', {str(path)!r})\n"
+        return f"run('compute', '--config', {_job_file(tmp_path, routes)!r})\n"
 
-    assert not _numpy_loaded_after(
+    assert "numpy" not in _loaded_after(
         "import importlib, pkgutil, sosdw\n"
         "assert [m for m in sys.modules if m.startswith('sosdw.')] == []\n"
         "for mod in pkgutil.iter_modules(sosdw.__path__):\n"
@@ -292,6 +340,62 @@ def test_exact_routes_import_without_numpy(tmp_path):
                   for name in NUMPY_FREE_SUITES))
     # The quadrature route, and the contour suite that checks it, run on
     # numpy.
-    assert _numpy_loaded_after(job(("residue", "quadrature")))
-    assert _numpy_loaded_after(
+    assert "numpy" in _loaded_after(job(("residue", "quadrature")))
+    assert "numpy" in _loaded_after(
         "run('verify', '--suite', 'contour', '--draws', '2')")
+
+
+@pytest.mark.parametrize("argv, needs, skips", [
+    (("verify", "--suite", "dybe"), {"rmatrix"},
+     {"closed_form", "yb_algebra", "face_model", "contour"}),
+    (("verify", "--suite", "functional"), {"closed_form"},
+     {"yb_algebra", "face_model", "rmatrix", "contour"}),
+    (("compute", "algebra"), {"yb_algebra", "rmatrix"},
+     {"closed_form", "face_model", "contour"}),
+], ids=["verify-dybe", "verify-functional", "compute-algebra"])
+def test_subcommand_loads_only_the_modules_it_runs(argv, needs, skips,
+                                                   tmp_path):
+    if argv[0] == "compute":
+        argv = ("compute", "--config", _job_file(tmp_path, argv[1:]))
+    else:
+        argv += ("--draws", "2")
+    loaded = _loaded_after(f"run(*{argv!r})")
+    assert {f"sosdw.{m}" for m in needs} <= loaded
+    assert not {f"sosdw.{m}" for m in skips} & loaded
+
+
+def test_no_subcommand_loads_dataclasses(tmp_path):
+    contour = {"center": {"re": 0.1, "im": -0.04}, "radius": 0.9,
+               "nodes": 32}
+    job = _job_file(tmp_path, ROUTES, contour=contour)
+    loaded = _loaded_after(
+        f"run('compute', '--config', {job!r})\n"
+        "run('verify', '--draws', '1')\n"
+        "run('bench', '--lmin', '1', '--lmax', '1')\n")
+    assert {"sosdw.cli", "sosdw.contour", "numpy"} <= loaded
+    assert "dataclasses" not in loaded
+
+
+def test_package_root_imports_submodules_on_first_use():
+    import sosdw
+
+    assert sosdw._SUBMODULES == {
+        m.name for m in pkgutil.iter_modules(sosdw.__path__)}
+    loaded = _loaded_after(
+        "import sosdw\n"
+        "assert [m for m in sys.modules if m.startswith('sosdw.')] == []\n"
+        "assert callable(sosdw.face_model.enumerate_partition)\n"
+        "assert getattr(sosdw, 'validate', None) is None\n")
+    assert {"sosdw.face_model", "sosdw.rmatrix", "sosdw.core"} <= loaded
+    assert "sosdw.closed_form" not in loaded
+    # An import that fails inside a submodule is not hidden as a missing
+    # attribute.
+    _python("import sys\n"
+            "sys.modules['cmath'] = None\n"
+            "import sosdw\n"
+            "try:\n"
+            "    getattr(sosdw, 'core', None)\n"
+            "except ImportError as exc:\n"
+            "    assert 'cmath' in str(exc), exc\n"
+            "else:\n"
+            "    raise AssertionError('ImportError swallowed')\n")
