@@ -137,10 +137,10 @@ def load_job_config(path: str) -> JobConfig:
             )
         if "center" not in cobj or "radius" not in cobj:
             raise ConfigError("contour needs 'center' and 'radius'")
-        nodes = cobj.get("nodes", 64)
+        from .contour import DEFAULT_NODES, ContourSpec
+        nodes = cobj.get("nodes", DEFAULT_NODES)
         if isinstance(nodes, bool) or not isinstance(nodes, int):
             raise ConfigError("contour.nodes must be an integer")
-        from .contour import ContourSpec
         spec = ContourSpec(
             center=_parse_complex(cobj["center"], "contour.center"),
             radius=_need_number(cobj["radius"], "contour.radius"),

@@ -4,14 +4,18 @@ The partition function equals an L-fold contour integral whose i-th
 variable runs over a closed contour enclosing every row spectral parameter
 exactly once, while excluding all of their i*pi-shifted copies.  Evaluating
 by residues reproduces the closed form; evaluating by quadrature on one
-shared circle gives an independent numerical route.  Only the quadrature
-builds arrays, and it alone imports numpy.
+shared circle gives an independent numerical route.  The quadrature
+contracts its N^L node tuples in O(N) work per variable: the pair factor
+is a sum of three products of per-node terms, so no N x N array is built,
+and the module runs on the standard library alone.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections import namedtuple
+from operator import mul
 
 from .core import (
     ModelParams,
@@ -26,6 +30,7 @@ from .core import (
 )
 
 CONTOUR_MARGIN = 0.05
+DEFAULT_NODES = 64
 MAX_NODES = 512
 POLE_EPS = 1e-13
 
@@ -39,7 +44,7 @@ class PoleHit(ValidationError):
 
 
 class ContourSpec(namedtuple("ContourSpec", "center radius nodes",
-                              defaults=(64,))):
+                              defaults=(DEFAULT_NODES,))):
     """A circular contour shared by all integration variables."""
 
     __slots__ = ()
@@ -72,7 +77,7 @@ def check_contour(spec: ContourSpec, lambdas) -> None:
                 )
 
 
-def auto_contour(lambdas, nodes: int = 64) -> ContourSpec:
+def auto_contour(lambdas, nodes: int = DEFAULT_NODES) -> ContourSpec:
     """Centroid-centered circle at the balanced radius.
 
     On a circle of radius r the trapezoid error falls like
@@ -96,29 +101,11 @@ def auto_contour(lambdas, nodes: int = 64) -> ContourSpec:
                        nodes=nodes)
 
 
-def _guarded(fn: str, z):
-    """np.sinh or np.cosh of an array, raising SinhOverflow where core.s would."""
-    import numpy as np
-
-    with np.errstate(over="raise"):
-        try:
-            return getattr(np, fn)(z)
-        except FloatingPointError:
-            worst = complex(z.flat[np.abs(z.real).argmax()])
-            raise SinhOverflow(
-                f"{fn} of {worst} exceeds the double-precision range"
-            ) from None
-
-
-def _array_sinh(z):
-    """np.sinh that raises SinhOverflow where :func:`core.s` would."""
-    return _guarded("sinh", z)
-
-
 def _site(j: int, w, params: ModelParams, sinh=s):
     """Integrand factor of variable j at w, without its pole denominators.
 
-    ``w`` is a number, or a numpy array with ``sinh=_array_sinh``.
+    ``sinh`` is :func:`core.s`, or ``cmath.sinh`` under a caller's own
+    ``OverflowError`` guard.
     """
     g = params.gamma
     th = params.theta
@@ -131,30 +118,23 @@ def _site(j: int, w, params: ModelParams, sinh=s):
     return f
 
 
-def _pair(wi, wj, g: complex, sinh=s):
+def _pair(wi, wj, g: complex):
     """Integrand factor of the variables i < j at wi and wj."""
-    return sinh(wj - wi + g) * sinh(wj - wi)
+    return s(wj - wi + g) * s(wj - wi)
 
 
-def _pair_matrix(ring, g: complex):
-    """``_pair`` at every pair of nodes center + ring, from 4N sinh and cosh.
+def _pair_legs(g: complex):
+    """The three rank-one terms of ``_pair``, as (k, c) pairs.
 
-    The centre cancels from every node difference, so the addition theorem
-    sinh(x - y) = sinh x cosh y - cosh x sinh y expands both factors of
-    pair[a, b] = sinh(ring_b - ring_a + g) * sinh(ring_b - ring_a) over
-    per-node vectors.  The ring offsets stay below pi in modulus, which
-    keeps the cancellation error near eps * cosh(pi)^2 times the size of
-    the g-shifted values.  The second factor is the antisymmetric part of
-    one outer product, so the diagonal is exactly 0.
+    ``_pair(wa, wb, g)`` is the sum of c * exp(2k(wb - wa)) over them: by
+    sinh(x + g) sinh(x) = (cosh(2x + g) - cosh g) / 2 at x = wb - wa, the
+    terms are k = 1 with c = e^g / 4, k = -1 with c = e^-g / 4 and k = 0
+    with c = -cosh(g) / 2.  Only the node difference enters, so the
+    quadrature takes exp(2k * ring) on the ring offsets, whose modulus
+    stays below pi, and the circle's centre drops out.
     """
-    sh = _array_sinh(ring)
-    ch = _guarded("cosh", ring)
-    gap = ch[:, None] * sh
-    gap = gap - gap.T
-    pair = ch[:, None] * _array_sinh(ring + g)
-    pair -= sh[:, None] * _guarded("cosh", ring + g)
-    pair *= gap
-    return pair
+    return ((1, cmath.exp(g) / 4), (-1, cmath.exp(-g) / 4),
+            (0, -cmath.cosh(g) / 2))
 
 
 def _residue_terms(params: ModelParams, lams):
@@ -193,37 +173,45 @@ def tensor_quadrature(params: ModelParams, lambdas, spec: ContourSpec,
 
     All L variables share the circle.  The contour measure, the 1/(2*pi*i)
     factors, and the sinh(gamma)^L prefactor are folded into the per-slot
-    node weights.  Every sinh is taken on per-node vectors, O(L^2 * N)
-    calls in all: the N x N pair factor comes from :func:`_pair_matrix`.
-    No enclosure check is performed here, but the size cap is: the
-    contraction below covers at most three variables.
+    node weights.  Each pair factor is a sum of three rank-one terms
+    (:func:`_pair_legs`), so the sum over all N^L node tuples splits into
+    products of the moments sum_a slot[j][a] * exp(2m * ring_a), |m| < L:
+    O(L^2 * N) work in all.  No enclosure check is performed here, but
+    the size cap is: the contraction below covers at most three variables.
     """
-    import numpy as np
-
     check_size(params, "quadrature")
     L = params.L
     lams = tuple(complex(z) for z in lambdas)
-    phi = 2.0 * math.pi * np.arange(nodes) / nodes
-    ring = spec.radius * np.exp(1j * phi)
-    wn = spec.center + ring
-    measure = s(params.gamma) * ring / nodes
-
-    pole_sinh = _array_sinh(wn[:, None] - np.array(lams)[None, :])
-    if float(np.abs(pole_sinh).min()) < POLE_EPS:
-        raise PoleHit("a quadrature node sits on a pole")
-    pole_den = np.prod(pole_sinh, axis=1)
-
-    slot = np.empty((L, nodes), dtype=complex)
-    for j in range(L):
-        slot[j] = measure * _site(j, wn, params, _array_sinh) / pole_den
+    ring = [spec.radius * cmath.exp(1j * (2.0 * math.pi * a / nodes))
+            for a in range(nodes)]
+    wn = [spec.center + r for r in ring]
+    try:
+        pole_sinh = [[cmath.sinh(w - z) for z in lams] for w in wn]
+        if min(abs(x) for row in pole_sinh for x in row) < POLE_EPS:
+            raise PoleHit("a quadrature node sits on a pole")
+        g_measure = s(params.gamma) / nodes
+        weight = [g_measure * r / math.prod(row)
+                  for r, row in zip(ring, pole_sinh)]
+        slot = [[wt * _site(j, w, params, cmath.sinh)
+                 for wt, w in zip(weight, wn)] for j in range(L)]
+        legs = _pair_legs(params.gamma)
+    except OverflowError:
+        raise SinhOverflow(
+            "sinh of an integrand factor on the quadrature circle exceeds "
+            "the double-precision range"
+        ) from None
 
     if L == 1:
-        return complex(np.sum(slot[0]))
-    pair = _pair_matrix(ring, params.gamma)
-    if L == 3:
-        # pair[a, b] * sum_c pair[a, c] * slot[2][c] * pair[b, c]
-        pair *= (pair * slot[2]) @ pair.T
-    return complex(slot[0] @ pair @ slot[1])
+        return sum(slot[0])
+    powers = {m: [cmath.exp(2 * m * r) for r in ring] for m in range(1 - L, L)}
+    moment = [{m: sum(map(mul, row, power)) for m, power in powers.items()}
+              for row in slot]
+    if L == 2:
+        return sum(c * moment[0][-k] * moment[1][k] for k, c in legs)
+    # the pairs (0, 1), (0, 2) and (1, 2) take the terms k, l and n
+    return sum(c * d * e * moment[0][-k - l] * moment[1][k - n]
+               * moment[2][l + n]
+               for k, c in legs for l, d in legs for n, e in legs)
 
 
 def partition_quadrature_info(params: ModelParams, lambdas,

@@ -18,7 +18,7 @@ from sosdw.cli import (
     main,
     pairwise_deviations,
 )
-from sosdw.contour import ContourSpec
+from sosdw.contour import ContourSpec, auto_contour
 from sosdw.core import ROUTE_TABLE, ROUTES, BadLength, ModelParams, TooLarge
 
 
@@ -112,6 +112,13 @@ class TestLoadJobConfig:
         assert cfg.contour.center == 0.3 + 0j
         assert cfg.contour.radius == 0.9
         assert cfg.contour.nodes == 32
+
+    def test_contour_node_default_is_shared(self, tmp_path):
+        cfg = load_job_config(write_cfg(
+            tmp_path, contour={"center": {"re": 0.3, "im": 0.0},
+                               "radius": 0.9}))
+        assert (cfg.contour.nodes == ContourSpec(0.3, 0.9).nodes
+                == auto_contour(cfg.lambdas).nodes)
 
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity",
                                        "1" + "0" * 400],

@@ -5,7 +5,6 @@ import itertools
 import math
 import random
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -23,10 +22,10 @@ from sosdw.contour import (
     ContourInvalid,
     ContourSpec,
     PoleHit,
-    _array_sinh,
     _pair,
-    _pair_matrix,
+    _pair_legs,
     _residue_terms,
+    _site,
     auto_contour,
     check_contour,
     partition_quadrature,
@@ -122,7 +121,33 @@ class TestContourValidation:
             tensor_quadrature(params, lams, spec, 16)
 
 
-class TestPairMatrix:
+def ring_nodes(radius, nodes, turn=0.0):
+    """Ring offsets of a circle's trapezoid nodes, as tensor_quadrature
+    places them, turned by ``turn``."""
+    return [radius * cmath.exp(1j * (2.0 * math.pi * a / nodes + turn))
+            for a in range(nodes)]
+
+
+def brute_force_quadrature(params, lams, spec, nodes):
+    """The trapezoid sum over all nodes**L node tuples, term by term, and
+    the sum of the terms' moduli."""
+    L, g = params.L, params.gamma
+    ring = ring_nodes(spec.radius, nodes)
+    wn = [spec.center + r for r in ring]
+    weight = [[s(g) * r / nodes * _site(j, w, params)
+               / math.prod(s(w - z) for z in lams)
+               for r, w in zip(ring, wn)] for j in range(L)]
+    total, scale = 0j, 0.0
+    for tup in itertools.product(range(nodes), repeat=L):
+        term = math.prod(weight[j][a] for j, a in enumerate(tup))
+        for i, j in itertools.combinations(range(L), 2):
+            term *= _pair(wn[tup[i]], wn[tup[j]], g)
+        total += term
+        scale += abs(term)
+    return total, scale
+
+
+class TestPairLegs:
     def test_matches_direct_pair(self):
         rng = random.Random(15)
         for _ in range(60):
@@ -130,19 +155,28 @@ class TestPairMatrix:
             radius = rng.uniform(0.01, math.pi - 0.05)
             g = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
             nodes = rng.choice((8, 64, 128))
-            phi = 2 * math.pi * np.arange(nodes) / nodes + rng.random()
-            ring = radius * np.exp(1j * phi)
-            wn = center + ring
-            direct = _pair(wn[:, None], wn[None, :], g, _array_sinh)
-            pair = _pair_matrix(ring, g)
-            scale = np.abs(direct).max()
-            assert np.abs(pair - direct).max() <= 1e-13 * scale
-            assert (np.diag(pair) == 0).all()
+            ring = ring_nodes(radius, nodes, rng.random())
+            legs = _pair_legs(g)
+            worst = scale = 0.0
+            for ra in ring:
+                for rb in ring:
+                    direct = _pair(center + ra, center + rb, g)
+                    ranked = sum(c * cmath.exp(2 * k * rb)
+                                 * cmath.exp(-2 * k * ra) for k, c in legs)
+                    worst = max(worst, abs(ranked - direct))
+                    scale = max(scale, abs(direct))
+            assert worst <= 1e-13 * scale
 
-    def test_overflow_raises(self):
-        ring = 0.5 * np.exp(2j * math.pi * np.arange(16) / 16)
-        with pytest.raises(SinhOverflow):
-            _pair_matrix(ring, 800 + 0.1j)
+    @pytest.mark.parametrize("nodes", [8, 16])
+    @pytest.mark.parametrize("L", [1, 2, 3])
+    def test_equals_brute_force_trapezoid_sum(self, rng, L, nodes):
+        for _ in range(3):
+            params, lams = draw_clustered(rng, L)
+            lams = tuple(complex(z) for z in lams)
+            spec = auto_contour(lams)
+            want, scale = brute_force_quadrature(params, lams, spec, nodes)
+            got = tensor_quadrature(params, lams, spec, nodes)
+            assert abs(got - want) <= 1e-13 * scale
 
 
 def transcribed_residue_terms(params, lams):
@@ -261,6 +295,15 @@ class TestQuadrature:
         za = tensor_quadrature(params, lams, spec, 64)
         zb = tensor_quadrature(params, lams, spec, 64)
         assert za == zb
+
+    @pytest.mark.parametrize("L", [1, 2])
+    def test_overflow_raises(self, L):
+        # sinh of the site factors at nodes around Re lambda = 900
+        params = ModelParams(gamma=0.31 + 0.12j, theta=0.57 - 0.08j,
+                             mu=(0.13, -0.22)[:L], L=L)
+        lams = (900 + 0.05j, 900.3 - 0.1j)[:L]
+        with pytest.raises(SinhOverflow, match="sinh of"):
+            tensor_quadrature(params, lams, auto_contour(lams, nodes=16), 16)
 
     def test_size_cap(self):
         # the tensor contraction reads slots 0-2 only, so every entry point

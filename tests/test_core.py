@@ -278,9 +278,6 @@ class TestClosePair:
         assert close_pair((0.0, 0.1), abs(s(0.1)) * 0.999) is None
 
 
-NUMPY_FREE_SUITES = tuple(name for name in SUITE_NAMES if name != "contour")
-
-
 def _python(code: str) -> str:
     """Standard output of ``code`` run in a fresh interpreter on src/."""
     src = Path(__file__).resolve().parent.parent / "src"
@@ -337,12 +334,17 @@ def test_exact_routes_import_without_numpy(tmp_path):
         + job(("face", "algebra", "permutation", "residue"))
         + "from sosdw.verify import run_suite\n"
         + "".join(f"assert run_suite({name!r}, 0, 4).passed\n"
-                  for name in NUMPY_FREE_SUITES))
-    # The quadrature route, and the contour suite that checks it, run on
-    # numpy.
-    assert "numpy" in _loaded_after(job(("residue", "quadrature")))
-    assert "numpy" in _loaded_after(
+                  for name in SUITE_NAMES))
+    assert "numpy" not in _loaded_after(job(("residue", "quadrature")))
+    assert "numpy" not in _loaded_after(
         "run('verify', '--suite', 'contour', '--draws', '2')")
+
+
+def test_quadrature_runs_where_numpy_cannot_load(tmp_path):
+    job = _job_file(tmp_path, ("residue", "quadrature"))
+    _loaded_after("sys.modules['numpy'] = None\n"
+                  f"run('compute', '--config', {job!r})\n"
+                  "run('verify', '--suite', 'contour', '--draws', '2')")
 
 
 @pytest.mark.parametrize("argv, needs, skips", [
@@ -372,7 +374,7 @@ def test_no_subcommand_loads_dataclasses(tmp_path):
         f"run('compute', '--config', {job!r})\n"
         "run('verify', '--draws', '1')\n"
         "run('bench', '--lmin', '1', '--lmax', '1')\n")
-    assert {"sosdw.cli", "sosdw.contour", "numpy"} <= loaded
+    assert {"sosdw.cli", "sosdw.contour"} <= loaded
     assert "dataclasses" not in loaded
 
 
