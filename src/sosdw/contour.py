@@ -4,10 +4,9 @@ The partition function equals an L-fold contour integral whose i-th
 variable runs over a closed contour enclosing every row spectral parameter
 exactly once, while excluding all of their i*pi-shifted copies.  Evaluating
 by residues reproduces the closed form; evaluating by quadrature on one
-shared circle gives an independent numerical route.  The quadrature
-contracts its N^L node tuples in O(N) work per variable: the pair factor
-is a sum of three products of per-node terms, so no N x N array is built,
-and the module runs on the standard library alone.
+shared circle gives an independent numerical route.  The pair factor is
+a sum of three products of per-node terms, so one contraction serves
+every L in O(N) node work per variable; ``core.ROUTE_TABLE`` caps L.
 """
 
 from __future__ import annotations
@@ -15,14 +14,15 @@ from __future__ import annotations
 import cmath
 import math
 from collections import namedtuple
+from itertools import combinations, product
 from operator import mul
 
 from .core import (
     ModelParams,
     NoConvergence,
-    SinhOverflow,
     ValidationError,
     check_size,
+    exp,
     ordering_terms,
     pairwise_sum,
     s,
@@ -52,6 +52,10 @@ class ContourSpec(namedtuple("ContourSpec", "center radius nodes",
 
 def check_contour(spec: ContourSpec, lambdas) -> None:
     """Raise unless every pole is well inside and every shifted copy well outside."""
+    if not (cmath.isfinite(spec.center) and math.isfinite(spec.radius)):
+        raise ContourInvalid("center and radius must be finite")
+    if isinstance(spec.nodes, bool) or not isinstance(spec.nodes, int):
+        raise ContourInvalid(f"nodes must be an integer, got {spec.nodes!r}")
     if spec.radius <= 0 or spec.nodes < 4:
         raise ContourInvalid("radius must be positive and nodes at least 4")
     if spec.nodes > MAX_NODES // 2:
@@ -61,20 +65,17 @@ def check_contour(spec: ContourSpec, lambdas) -> None:
             f"{MAX_NODES} nodes per variable"
         )
     if spec.radius >= math.pi - CONTOUR_MARGIN:
-        raise ContourInvalid(
-            "radius too large to separate poles from their i*pi copies"
-        )
+        raise ContourInvalid("radius too large to separate poles from "
+                             "their i*pi copies")
     for z in lambdas:
         if abs(z - spec.center) >= spec.radius - CONTOUR_MARGIN:
-            raise ContourInvalid(
-                f"pole at {z} is not strictly inside the contour"
-            )
+            raise ContourInvalid(f"pole at {z} is not strictly inside the "
+                                 "contour")
         for k in (-1, 1):
             copy = z + 1j * math.pi * k
             if abs(copy - spec.center) <= spec.radius + CONTOUR_MARGIN:
-                raise ContourInvalid(
-                    f"shifted pole copy at {copy} is too close to the contour"
-                )
+                raise ContourInvalid(f"shifted pole copy at {copy} is too "
+                                     "close to the contour")
 
 
 def auto_contour(lambdas, nodes: int = DEFAULT_NODES) -> ContourSpec:
@@ -101,21 +102,21 @@ def auto_contour(lambdas, nodes: int = DEFAULT_NODES) -> ContourSpec:
                        nodes=nodes)
 
 
-def _site(j: int, w, params: ModelParams, sinh=s):
-    """Integrand factor of variable j at w, without its pole denominators.
+def _site_factors(params: ModelParams):
+    """``site(j, w)``: the integrand factor of variable j at w, without its
+    pole denominators.  Each sinh(theta + (j+1)*gamma) is taken once here."""
+    g, mu, L = params.gamma, params.mu, params.L
+    base = [params.theta + (j + 1) * g for j in range(L)]
+    den = [s(b) for b in base]
 
-    ``sinh`` is :func:`core.s`, or ``cmath.sinh`` under a caller's own
-    ``OverflowError`` guard.
-    """
-    g = params.gamma
-    th = params.theta
-    mu = params.mu
-    f = sinh(th + (j + 1) * g - w + mu[j]) / s(th + (j + 1) * g)
-    for l in range(j):
-        f = f * sinh(mu[l] - w)
-    for l in range(j + 1, params.L):
-        f = f * sinh(w - mu[l] + g)
-    return f
+    def site(j: int, w):
+        f = s(base[j] - w + mu[j]) / den[j]
+        for l in range(j):
+            f = f * s(mu[l] - w)
+        for l in range(j + 1, L):
+            f = f * s(w - mu[l] + g)
+        return f
+    return site
 
 
 def _pair(wi, wj, g: complex):
@@ -126,15 +127,13 @@ def _pair(wi, wj, g: complex):
 def _pair_legs(g: complex):
     """The three rank-one terms of ``_pair``, as (k, c) pairs.
 
-    ``_pair(wa, wb, g)`` is the sum of c * exp(2k(wb - wa)) over them: by
-    sinh(x + g) sinh(x) = (cosh(2x + g) - cosh g) / 2 at x = wb - wa, the
-    terms are k = 1 with c = e^g / 4, k = -1 with c = e^-g / 4 and k = 0
-    with c = -cosh(g) / 2.  Only the node difference enters, so the
-    quadrature takes exp(2k * ring) on the ring offsets, whose modulus
-    stays below pi, and the circle's centre drops out.
+    ``_pair(wa, wb, g)`` is the sum of c * exp(2k(wb - wa)) over them, by
+    sinh(x + g) sinh(x) = (cosh(2x + g) - cosh g) / 2: (1, e^g / 4),
+    (-1, e^-g / 4) and (0, -cosh(g) / 2), where cosh g is in range once
+    e^g and e^-g are.  Only node differences enter, so the quadrature
+    takes exp(2k * ring) on the ring offsets (modulus below pi).
     """
-    return ((1, cmath.exp(g) / 4), (-1, cmath.exp(-g) / 4),
-            (0, -cmath.cosh(g) / 2))
+    return ((1, exp(g) / 4), (-1, exp(-g) / 4), (0, -cmath.cosh(g) / 2))
 
 
 def _residue_terms(params: ModelParams, lams):
@@ -146,7 +145,8 @@ def _residue_terms(params: ModelParams, lams):
     L = params.L
     den = [math.prod(s(lams[a] - lams[b]) for b in range(L) if b != a)
            for a in range(L)]
-    site = [[_site(j, lams[a], params) / den[a] for a in range(L)]
+    site_factor = _site_factors(params)
+    site = [[site_factor(j, lams[a]) / den[a] for a in range(L)]
             for j in range(L)]
     pair = [[_pair(lams[a], lams[b], params.gamma) for a in range(L)]
             for b in range(L)]
@@ -173,11 +173,11 @@ def tensor_quadrature(params: ModelParams, lambdas, spec: ContourSpec,
 
     All L variables share the circle.  The contour measure, the 1/(2*pi*i)
     factors, and the sinh(gamma)^L prefactor are folded into the per-slot
-    node weights.  Each pair factor is a sum of three rank-one terms
-    (:func:`_pair_legs`), so the sum over all N^L node tuples splits into
-    products of the moments sum_a slot[j][a] * exp(2m * ring_a), |m| < L:
-    O(L^2 * N) work in all.  No enclosure check is performed here, but
-    the size cap is: the contraction below covers at most three variables.
+    node weights.  One rank-one term of :func:`_pair_legs` per pair turns
+    the sum over all N^L node tuples into a product of the moments
+    sum_a slot[j][a] * exp(2m * ring_a), |m| < L: O(L^2 * N) node work and
+    3^(L(L-1)/2) such products for any L.  No enclosure check is performed
+    here; L is capped by the route's entry in ``core.ROUTE_TABLE``.
     """
     check_size(params, "quadrature")
     L = params.L
@@ -185,33 +185,30 @@ def tensor_quadrature(params: ModelParams, lambdas, spec: ContourSpec,
     ring = [spec.radius * cmath.exp(1j * (2.0 * math.pi * a / nodes))
             for a in range(nodes)]
     wn = [spec.center + r for r in ring]
-    try:
-        pole_sinh = [[cmath.sinh(w - z) for z in lams] for w in wn]
-        if min(abs(x) for row in pole_sinh for x in row) < POLE_EPS:
-            raise PoleHit("a quadrature node sits on a pole")
-        g_measure = s(params.gamma) / nodes
-        weight = [g_measure * r / math.prod(row)
-                  for r, row in zip(ring, pole_sinh)]
-        slot = [[wt * _site(j, w, params, cmath.sinh)
-                 for wt, w in zip(weight, wn)] for j in range(L)]
-        legs = _pair_legs(params.gamma)
-    except OverflowError:
-        raise SinhOverflow(
-            "sinh of an integrand factor on the quadrature circle exceeds "
-            "the double-precision range"
-        ) from None
-
-    if L == 1:
-        return sum(slot[0])
+    pole_sinh = [[s(w - z) for z in lams] for w in wn]
+    if min(abs(x) for row in pole_sinh for x in row) < POLE_EPS:
+        raise PoleHit("a quadrature node sits on a pole")
+    g_measure = s(params.gamma) / nodes
+    weight = [g_measure * r / math.prod(row)
+              for r, row in zip(ring, pole_sinh)]
+    site = _site_factors(params)
+    slot = [[wt * site(j, w) for wt, w in zip(weight, wn)] for j in range(L)]
     powers = {m: [cmath.exp(2 * m * r) for r in ring] for m in range(1 - L, L)}
     moment = [{m: sum(map(mul, row, power)) for m, power in powers.items()}
               for row in slot]
-    if L == 2:
-        return sum(c * moment[0][-k] * moment[1][k] for k, c in legs)
-    # the pairs (0, 1), (0, 2) and (1, 2) take the terms k, l and n
-    return sum(c * d * e * moment[0][-k - l] * moment[1][k - n]
-               * moment[2][l + n]
-               for k, c in legs for l, d in legs for n, e in legs)
+    # leg (k, c) on pair (i, j) takes c and moves i's moment by -k, j's by +k
+    pairs = list(combinations(range(L), 2))
+    total = 0j
+    for legs in product(_pair_legs(params.gamma), repeat=len(pairs)):
+        term, index = 1, [0] * L
+        for (i, j), (k, c) in zip(pairs, legs):
+            term *= c
+            index[i] -= k
+            index[j] += k
+        for row, m in zip(moment, index):
+            term *= row[m]
+        total += term
+    return total
 
 
 def partition_quadrature_info(params: ModelParams, lambdas,
@@ -235,9 +232,8 @@ def partition_quadrature_info(params: ModelParams, lambdas,
         if abs(val - prev) <= 1e-10 * max(abs(val), abs(prev)):
             return val, nodes
         prev = val
-    raise NoConvergence(
-        f"quadrature still moving after {MAX_NODES} nodes per variable"
-    )
+    raise NoConvergence(f"quadrature still moving after {MAX_NODES} nodes "
+                        "per variable")
 
 
 def partition_quadrature(params: ModelParams, lambdas,

@@ -55,7 +55,7 @@ class NonFinite(ValidationError):
 
 
 class SinhOverflow(ValidationError):
-    """sinh of an argument exceeds the double-precision range."""
+    """sinh or exp of an argument exceeds the double-precision range."""
 
 
 class NumericalError(RuntimeError):
@@ -74,6 +74,14 @@ def s(z: complex) -> complex:
         raise SinhOverflow(
             f"sinh of {z} exceeds the double-precision range"
         ) from None
+
+
+def exp(z: complex) -> complex:
+    """e^z, under the overflow policy of :func:`s`."""
+    try:
+        return cmath.exp(z)
+    except OverflowError:
+        raise SinhOverflow(f"exp of {z} exceeds the double range") from None
 
 
 def pairwise_sum(values) -> complex:

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sosdw.core import (
+    ROUTE_TABLE,
     ModelParams,
     NoConvergence,
     SinhOverflow,
@@ -25,7 +26,7 @@ from sosdw.contour import (
     _pair,
     _pair_legs,
     _residue_terms,
-    _site,
+    _site_factors,
     auto_contour,
     check_contour,
     partition_quadrature,
@@ -63,6 +64,24 @@ class TestContourValidation:
         with pytest.raises(ContourInvalid):
             check_contour(
                 ContourSpec(center=1.4j, radius=2.0), (0.1 + 0j,))
+
+    @pytest.mark.parametrize("spec", [
+        ContourSpec(center=complex(float("nan"), -0.1), radius=0.9),
+        ContourSpec(center=0.3 - 0.1j, radius=float("nan")),
+        ContourSpec(center=0.3 - 0.1j, radius=float("inf")),
+    ], ids=["nan-center", "nan-radius", "inf-radius"])
+    def test_non_finite_circle(self, spec, complex_params_l2):
+        # rejected as input, before the node doubling can report a
+        # numerical failure
+        params, lams = complex_params_l2
+        with pytest.raises(ContourInvalid, match="finite"):
+            partition_quadrature_info(params, lams, spec)
+
+    def test_non_integer_nodes(self, complex_params_l2):
+        params, lams = complex_params_l2
+        spec = ContourSpec(center=0.3 - 0.1j, radius=0.9, nodes=64.0)
+        with pytest.raises(ContourInvalid, match="integer"):
+            partition_quadrature_info(params, lams, spec)
 
     def test_too_few_nodes(self):
         with pytest.raises(ContourInvalid):
@@ -134,7 +153,8 @@ def brute_force_quadrature(params, lams, spec, nodes):
     L, g = params.L, params.gamma
     ring = ring_nodes(spec.radius, nodes)
     wn = [spec.center + r for r in ring]
-    weight = [[s(g) * r / nodes * _site(j, w, params)
+    site = _site_factors(params)
+    weight = [[s(g) * r / nodes * site(j, w)
                / math.prod(s(w - z) for z in lams)
                for r, w in zip(ring, wn)] for j in range(L)]
     total, scale = 0j, 0.0
@@ -167,9 +187,17 @@ class TestPairLegs:
                     scale = max(scale, abs(direct))
             assert worst <= 1e-13 * scale
 
-    @pytest.mark.parametrize("nodes", [8, 16])
-    @pytest.mark.parametrize("L", [1, 2, 3])
-    def test_equals_brute_force_trapezoid_sum(self, rng, L, nodes):
+    @pytest.mark.parametrize("L, nodes", [
+        pytest.param(L, nodes, id=f"{L}-{nodes}")
+        for L, nodes in ((1, 8), (1, 16), (2, 8), (2, 16), (3, 8), (3, 16),
+                         (4, 8))
+    ])
+    def test_equals_brute_force_trapezoid_sum(self, rng, monkeypatch, L,
+                                              nodes):
+        # L = 4 lies past the route's cap: lift it here alone, to show the
+        # contraction itself holds for any L
+        monkeypatch.setitem(ROUTE_TABLE, "quadrature",
+                            ROUTE_TABLE["quadrature"]._replace(cap=lambda: 4))
         for _ in range(3):
             params, lams = draw_clustered(rng, L)
             lams = tuple(complex(z) for z in lams)
@@ -305,9 +333,20 @@ class TestQuadrature:
         with pytest.raises(SinhOverflow, match="sinh of"):
             tensor_quadrature(params, lams, auto_contour(lams, nodes=16), 16)
 
+    @pytest.mark.parametrize("L", [1, 2])
+    def test_pair_leg_overflow_raises(self, L):
+        # e^gamma overflows while sinh(gamma) and every site factor stay in
+        # range: the pair legs raise SinhOverflow, not OverflowError
+        params = ModelParams(gamma=710.0, theta=(-705.0, -1062.5)[L - 1],
+                             mu=(0.13, 1.5)[:L], L=L)
+        lams = (0.4 + 0.05j, 0.1 - 0.1j)[:L]
+        with pytest.raises(SinhOverflow, match="exp of"):
+            partition_quadrature(params, lams)
+
     def test_size_cap(self):
-        # the tensor contraction reads slots 0-2 only, so every entry point
-        # must refuse L = 4 rather than return a wrong value
+        # the cap is ROUTE_TABLE's policy, not a limit of the contraction:
+        # every entry point must refuse L = 4 until the error past L = 3 is
+        # measured
         params = ModelParams(gamma=0.31 + 0.12j, theta=0.57 - 0.08j,
                              mu=(0.1, 0.2, 0.3, 0.4), L=4)
         lams = (0.1, 0.2, 0.3, 0.4)

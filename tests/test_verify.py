@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from sosdw import closed_form, rmatrix
+from sosdw import closed_form, contour, rmatrix
 from sosdw.verify import SUITE_NAMES, THRESHOLDS, CheckRow, run_suite
 
 
@@ -133,19 +133,31 @@ def _scaled_coeff_m(monkeypatch):
                         lambda *args: real(*args) * (1 + 1e-8))
 
 
+def _scaled_pair_leg(monkeypatch):
+    """Defect: the k = 0 coefficient of the quadrature's pair legs scaled
+    by 1 + 1e-6; the residue route, which reads ``_pair``, is untouched."""
+    real = contour._pair_legs
+
+    def broken(g):
+        return tuple((k, c * (1 + 1e-6) if k == 0 else c)
+                     for k, c in real(g))
+    monkeypatch.setattr(contour, "_pair_legs", broken)
+
+
 # Each seeded defect against every suite that must catch it, at seed 0 with
-# 20 draws.  Four suites are blind to all three defects (ROADMAP direction
+# 20 draws.  Four suites are blind to all four defects (ROADMAP direction
 # 5): ice and nilpotency read exactly 0, since they check the entries'
 # layout rather than their values; zeroes stays at 1.9e-17, since every
 # permutation term vanishes at the pinned zeros; degree reads at most
 # 1.6e-13, since a rescaled term keeps the degree.  Nothing is asserted
-# about them here, nor about ode and contour, which no defect here reaches.
+# about them here, nor about ode, which reads no route.
 MUTATIONS = [
     pytest.param(defect, suite, id=f"{defect.__name__.strip('_')}-{suite}")
     for defect, suites in (
         (_scaled_weight, ("dybe", "unitarity", "hexagon", "commut", "cbb")),
         (_scaled_permutation_term, ("functional", "symmetry", "asymptotic")),
         (_scaled_coeff_m, ("functional", "cbb")),
+        (_scaled_pair_leg, ("contour",)),
     )
     for suite in suites
 ]
