@@ -17,7 +17,6 @@ import functools
 import math
 
 from .core import (
-    EPS_SEP,
     EPS_SING,
     ROUTE_TABLE,
     BadLength,
@@ -26,10 +25,11 @@ from .core import (
     NumericalError,
     SingularTheta,
     check_size,
-    close_pair,
     ordering_terms,
     pairwise_sum,
     s,
+    scaled,
+    spectral,
     validate,
 )
 
@@ -62,9 +62,7 @@ def coeff_M(i: int, lambdas, theta: complex, params: ModelParams,
     """
     if not 1 <= i <= n:
         raise BadLength(f"coefficient index {i} outside 1..{n}")
-    if len(lambdas) != n + 1:
-        raise BadLength(f"expected {n + 1} spectral values, got {len(lambdas)}")
-    lam = [complex(z) for z in lambdas]
+    lam = spectral(lambdas, n + 1)
     g = params.gamma
     L = params.L
     mu = params.mu
@@ -129,9 +127,7 @@ def coeff_N(j: int, i: int, lambdas, theta: complex, params: ModelParams,
     """
     if not 1 <= i < j <= n:
         raise BadLength(f"coefficient indices ({j}, {i}) outside 1<=i<j<=n")
-    if len(lambdas) != n + 1:
-        raise BadLength(f"expected {n + 1} spectral values, got {len(lambdas)}")
-    lam = [complex(z) for z in lambdas]
+    lam = spectral(lambdas, n + 1)
     return (_coeff_N_half(j, i, lam, theta, params, n)
             + _coeff_N_half(i, j, lam, theta, params, n))
 
@@ -185,8 +181,8 @@ def _permutation_terms(params: ModelParams, lambdas) -> list:
 
 def partition_permutation_sum(params: ModelParams, lambdas) -> complex:
     """Partition function as a sum of factorized terms over permutations."""
-    return s(params.gamma) ** params.L * pairwise_sum(
-        _permutation_terms(params, lambdas))
+    terms = _permutation_terms(params, lambdas)
+    return s(params.gamma) ** params.L * pairwise_sum(terms)
 
 
 def permutation_condition(params: ModelParams, lambdas) -> float:
@@ -213,20 +209,11 @@ def functional_equation_residual(params: ModelParams, lambdas,
     The residual is |sum of terms| / max |term|.
     """
     L = params.L
-    if len(lambdas) != L + 2:
-        raise BadLength(f"expected {L + 2} spectral values, got {len(lambdas)}")
-    lam = [complex(z) for z in lambdas]
-    if (pair := close_pair(lam, EPS_SEP)) is not None:
-        raise CoincidentSpectral(
-            f"functional equation arguments {pair[0]} and {pair[1]} coincide"
-        )
+    lam = spectral(lambdas, L + 2, separated=True)
     ev = _evaluator(params, route)
     terms = [c * ev(args)
              for c, args in exchange_terms(lam, params.theta, params, L + 1)]
-    scale = max(abs(t) for t in terms)
-    if scale == 0.0:
-        return 0.0
-    return abs(pairwise_sum(terms)) / scale
+    return scaled(abs(pairwise_sum(terms)), max(abs(t) for t in terms))
 
 
 def special_zero_residual(params: ModelParams, lambdas,
@@ -235,14 +222,13 @@ def special_zero_residual(params: ModelParams, lambdas,
 
     The first two spectral parameters must be mu_1 and mu_1 - gamma; Z is
     evaluated once at exactly those pins, and a coincidence guard that
-    rejects the evaluation raises its error.
+    rejects the evaluation raises its error.  It guards a structure: a
+    rescaled permutation term passes, since every term vanishes at the pins.
     """
     L = params.L
     if L < 2:
         raise BadLength("the pinned pair needs at least two rows")
-    if len(lambdas) != L:
-        raise BadLength(f"expected {L} spectral values, got {len(lambdas)}")
-    lam = [complex(z) for z in lambdas]
+    lam = spectral(lambdas, L)
     mu1 = params.mu[0]
     g = params.gamma
     if abs(lam[0] - mu1) > 1e-9 or abs(lam[1] - (mu1 - g)) > 1e-9:
@@ -256,8 +242,7 @@ def special_zero_residual(params: ModelParams, lambdas,
                       (-0.23 + 0.09j, 0.31 - 0.12j))
     scale = 0.0
     for d1, d2 in generic_shifts:
-        probe = [mu1 + d1, mu1 - g + d2] + lam[2:]
-        scale = max(scale, abs(ev(tuple(probe))))
+        scale = max(scale, abs(ev((mu1 + d1, mu1 - g + d2) + lam[2:])))
     if scale == 0.0:
         raise NumericalError("no usable scale near the pinned point")
     return abs(value) / scale
@@ -387,10 +372,8 @@ def ode_residual_L1(x: complex, params: ModelParams) -> float:
              + q ** 10 * t ** 4) * x ** 3)
 
     terms = (p0 * f, p1 * f1, p2 * 0.0)
-    scale = max(abs(v) for v in terms)
-    if scale == 0.0:
-        return 0.0
-    return abs(terms[0] + terms[1] + terms[2]) / scale
+    return scaled(abs(terms[0] + terms[1] + terms[2]),
+                  max(abs(v) for v in terms))
 
 
 def degree_residual(params: ModelParams, which: int,
@@ -400,7 +383,8 @@ def degree_residual(params: ModelParams, which: int,
     Samples the polynomial-normalized partition function at 2L+2 points of
     the circle |x_which| = R, the other variables frozen, and returns
     max_{d>L} |c_d| R^d / max_d |c_d| R^d: rounding for a polynomial of
-    degree L in x_which, near one for a higher degree.
+    degree L in x_which, near one for a higher degree.  It guards a
+    structure: a rescaled permutation term passes; it keeps the degree.
     """
     L = params.L
     if not 0 <= which < L:
@@ -429,15 +413,13 @@ def swap_residual(params: ModelParams, lambdas, i: int, j: int,
     value is evaluated once and divides both changes.
     """
     L = params.L
-    if len(lambdas) != L:
-        raise BadLength(f"expected {L} spectral values, got {len(lambdas)}")
+    lam = spectral(lambdas, L)
     if not (0 <= i < L and 0 <= j < L):
         raise BadLength("swap indices outside the spectral vector")
     if i == j:
         return 0.0
     ev = _evaluator(params, route)
-    lam = [complex(z) for z in lambdas]
-    base = ev(tuple(lam))
+    base = ev(lam)
     if base == 0:
         raise NumericalError("swap probe hit a zero of the function")
     rows = list(lam)
@@ -447,4 +429,4 @@ def swap_residual(params: ModelParams, lambdas, i: int, j: int,
     columns = ModelParams(gamma=params.gamma, theta=params.theta,
                           mu=tuple(mu), L=L)
     return max(abs(ev(tuple(rows)) - base),
-               abs(_evaluator(columns, route)(tuple(lam)) - base)) / abs(base)
+               abs(_evaluator(columns, route)(lam) - base)) / abs(base)

@@ -26,6 +26,7 @@ from .core import (
     ordering_terms,
     pairwise_sum,
     s,
+    spectral,
     validate,
 )
 
@@ -181,7 +182,7 @@ def tensor_quadrature(params: ModelParams, lambdas, spec: ContourSpec,
     """
     check_size(params, "quadrature")
     L = params.L
-    lams = tuple(complex(z) for z in lambdas)
+    lams = spectral(lambdas, L)
     ring = [spec.radius * cmath.exp(1j * (2.0 * math.pi * a / nodes))
             for a in range(nodes)]
     wn = [spec.center + r for r in ring]

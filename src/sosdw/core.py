@@ -288,6 +288,26 @@ def close_pair(points, floor: float):
     return None
 
 
+def spectral(values, n: int, separated: bool = False) -> tuple:
+    """An identity check's n spectral arguments, as complex values.
+
+    BadLength for any other count; when ``separated``, CoincidentSpectral
+    for the first pair :func:`close_pair` finds within EPS_SEP.
+    """
+    lams = tuple(complex(z) for z in values)
+    if len(lams) != n:
+        raise BadLength(f"expected {n} spectral values, got {len(lams)}")
+    if separated and (pair := close_pair(lams, EPS_SEP)) is not None:
+        raise CoincidentSpectral(
+            f"spectral arguments {pair[0]} and {pair[1]} coincide")
+    return lams
+
+
+def scaled(residual: float, scale: float) -> float:
+    """A residual relative to its scale; 0.0 when every term vanished."""
+    return 0.0 if scale == 0.0 else residual / scale
+
+
 def validate(params: ModelParams, lambdas, route: str) -> tuple:
     """Check every invariant applicable to the chosen route.
 

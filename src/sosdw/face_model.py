@@ -17,6 +17,7 @@ from .core import (
     ValidationError,
     check_size,
     pairwise_sum,
+    scaled,
     validate,
 )
 from .rmatrix import WeightTables
@@ -159,8 +160,5 @@ def hexagon_residual(u, v, ks, params) -> float:
             * face_weight(k3, k4, k0, k5, tuv)
             * face_weight(k0, k5, k1, k6, tv)
         )
-    scale = max(abs(t) for t in lhs_terms + rhs_terms)
-    diff = abs(pairwise_sum(lhs_terms) - pairwise_sum(rhs_terms))
-    if scale == 0.0:
-        return 0.0
-    return diff / scale
+    return scaled(abs(pairwise_sum(lhs_terms) - pairwise_sum(rhs_terms)),
+                  max(abs(t) for t in lhs_terms + rhs_terms))

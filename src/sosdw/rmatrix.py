@@ -19,7 +19,7 @@ import math
 from itertools import chain
 from operator import sub
 
-from .core import EPS_SING, ModelParams, SingularTheta, s
+from .core import EPS_SING, ModelParams, SingularTheta, s, scaled
 
 
 def weights(lam: complex, theta: complex, params: ModelParams) -> dict:
@@ -153,8 +153,8 @@ def dybe_residual(l1, l2, l3, theta, params) -> float:
               _embedded_r(l13, theta, params, (0, 2), branched=True),
               _embedded_r(l12, theta, params, (0, 1))))
     lhs, rhs = (matmul(matmul(a, b), c) for a, b, c in sides)
-    scale = max(math.prod(map(max_abs, side)) for side in sides)
-    return max_abs_diff(lhs, rhs) / scale
+    return scaled(max_abs_diff(lhs, rhs),
+                  max(math.prod(map(max_abs, side)) for side in sides))
 
 
 def unitarity_residual(lam, theta, params) -> float:
@@ -172,9 +172,9 @@ def unitarity_residual(lam, theta, params) -> float:
     r2 = r_matrix(-lam, theta, params)
     target = s(g + lam) * s(g - lam)
     lhs = matmul(matmul(matmul(r1, swap), r2), swap)
-    scale = max_abs(r1) * max_abs(r2)
-    return max_abs([z - target if i == j else z for i, z in enumerate(col)]
-                   for j, col in enumerate(lhs)) / scale
+    diff = max_abs([z - target if i == j else z for i, z in enumerate(col)]
+                   for j, col in enumerate(lhs))
+    return scaled(diff, max_abs(r1) * max_abs(r2))
 
 
 def ice_residual(lam, theta, params) -> float:
@@ -187,4 +187,4 @@ def ice_residual(lam, theta, params) -> float:
             for j, h in enumerate((2.0, 0.0, 0.0, -2.0))]
     r = r_matrix(lam, theta, params)
     lhs, rhs = matmul(r, spin), matmul(spin, r)
-    return max_abs_diff(lhs, rhs) / max_abs(r)
+    return scaled(max_abs_diff(lhs, rhs), max_abs(r))

@@ -75,7 +75,7 @@ def _where(params) -> str:
 
 
 def _where_lams(params, lams) -> str:
-    """Reproduce detail of a draw of inhomogeneities and spectral values."""
+    """Reproduce detail: the drawn inhomogeneities and spectral parameters."""
     return f"{_where(params)} mu={_cs(params.mu)} lambdas={_cs(lams)}"
 
 
@@ -101,7 +101,7 @@ def _draw_params(rng, L, pred):
 
 
 def _draw_separated(rng, count, floor, avoid=()):
-    """Draw spectral values whose pairwise sinh gaps clear the floor."""
+    """Draw spectral parameters whose pairwise sinh gaps clear the floor."""
     return first_admissible(
         lambda: draw_spectral(rng, count),
         lambda lams: close_pair(tuple(avoid) + lams, floor) is None,

@@ -24,15 +24,14 @@ import math
 from operator import sub
 
 from .core import (
-    EPS_SEP,
     BadLength,
-    CoincidentSpectral,
     ModelParams,
     TooLarge,
     ValidationError,
     check_size,
-    close_pair,
     s,
+    scaled,
+    spectral,
     validate,
 )
 from .rmatrix import WeightTables, matmul, max_abs, max_abs_diff
@@ -167,10 +166,7 @@ def partition_algebraic(params: ModelParams, lambdas) -> complex:
 
 
 def _rel(lhs: list, rhs: list) -> float:
-    scale = max(max_abs(lhs), max_abs(rhs))
-    if scale == 0.0:
-        return 0.0
-    return max_abs_diff(lhs, rhs) / scale
+    return scaled(max_abs_diff(lhs, rhs), max(max_abs(lhs), max_abs(rhs)))
 
 
 def _norm(v) -> float:
@@ -188,8 +184,7 @@ def commutation_residuals(l1: complex, l2: complex, theta: complex,
     out: they hold for any matrices with the ice-rule layout, in which A
     and D keep the total spin, B lowers it by 2 and C raises it by 2.
     """
-    if abs(s(l1 - l2)) <= EPS_SEP:
-        raise CoincidentSpectral("exchange relations need separated arguments")
+    spectral((l1, l2), 2, separated=True)
     g = params.gamma
     q = cmath.exp(g)
     t = cmath.exp(theta)
@@ -289,13 +284,7 @@ def cbb_residual(n: int, lambdas, theta: complex,
     L = params.L
     if not 1 <= n <= L + 1:
         raise BadLength(f"string length {n} outside 1..{L + 1}")
-    if len(lambdas) != n + 1:
-        raise BadLength(f"expected {n + 1} spectral values, got {len(lambdas)}")
-    lam = [complex(z) for z in lambdas]
-    if close_pair(lam, EPS_SEP) is not None:
-        raise CoincidentSpectral(
-            "coefficient formulas need separated arguments"
-        )
+    lam = spectral(lambdas, n + 1, separated=True)
     g = params.gamma
 
     lhs = creation_string(params, lam[1:], theta, list(range(n)))
@@ -306,10 +295,8 @@ def cbb_residual(n: int, lambdas, theta: complex,
              for c, args in exchange_terms(lam, theta, params, n)]
 
     rhs = [sum(zs) for zs in zip(*terms)]
-    scale = max([_norm(lhs)] + [_norm(v) for v in terms])
-    if scale == 0.0:
-        return 0.0
-    return _norm(map(sub, lhs, rhs)) / scale
+    return scaled(_norm(map(sub, lhs, rhs)),
+                  max([_norm(lhs)] + [_norm(v) for v in terms]))
 
 
 def nilpotency_norm(params: ModelParams, lambdas) -> float:
@@ -322,12 +309,11 @@ def nilpotency_norm(params: ModelParams, lambdas) -> float:
     matrix.
     """
     L = params.L
-    if len(lambdas) != L + 1:
-        raise BadLength(f"expected {L + 1} spectral values, got {len(lambdas)}")
+    lams = spectral(lambdas, L + 1)
     if L > 6:
         raise TooLarge("nilpotency check materializes matrices; L capped at 6")
-    factors = [_sites(complex(z), params.theta + j * params.gamma, params)
-               for j, z in enumerate(lambdas)]
+    factors = [_sites(z, params.theta + j * params.gamma, params)
+               for j, z in enumerate(lams)]
     v = _string(factors, L)
     scale = math.prod(max_abs(_dense("B", sites)) for sites in factors)
     if scale == 0.0:

@@ -228,7 +228,13 @@ class TestComputeCommand:
         {"lambda": [{"re": 900, "im": 0.05}, {"re": 0.18, "im": -0.27}]},
         {"L": 1, "mu": [{"re": 0.13, "im": -0.21}],
          "lambda": [{"re": 900, "im": 0.05}], "routes": ["quadrature"]},
-    ], ids=["gamma", "lambda", "quadrature"])
+        # sinh(gamma)^L overflows too; the validation window must be judged
+        # before the prefactor is taken
+        {"gamma": {"re": 710, "im": 0.0}, "theta": {"re": -1062.5, "im": 0.0},
+         "mu": [{"re": 0.13, "im": 0.0}, {"re": 1.5, "im": 0.0}],
+         "lambda": [{"re": 0.4, "im": 0.05}, {"re": 0.1, "im": -0.1}],
+         "routes": ["permutation"]},
+    ], ids=["gamma", "lambda", "quadrature", "permutation-prefactor"])
     def test_compute_exit_2_on_sinh_overflow(self, tmp_path, capsys,
                                              override):
         path = write_cfg(tmp_path, **override)

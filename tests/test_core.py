@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sosdw import closed_form, contour
+from sosdw import closed_form, contour, core, yb_algebra
 from sosdw.core import (
     EPS_SEP,
     EPS_SING,
@@ -38,6 +38,8 @@ from sosdw.core import (
     ordering_terms,
     pairwise_sum,
     s,
+    scaled,
+    spectral,
     validate,
 )
 from sosdw.sampling import draw_model
@@ -276,6 +278,88 @@ class TestClosePair:
     def test_floor_is_inclusive(self):
         assert close_pair((0.0, 0.1), abs(s(0.1))) == (0, 1)
         assert close_pair((0.0, 0.1), abs(s(0.1)) * 0.999) is None
+
+
+# Spectral values beyond the two of the complex_params_l2 fixture.
+MORE = (-0.3 + 0.1j, 0.05 + 0.3j, -0.12 - 0.4j)
+
+# Every identity check that takes a spectral vector, with the count it needs.
+GATED = {
+    "coeff_M": (lambda p, v: closed_form.coeff_M(1, v, p.theta, p, 2), 3),
+    "coeff_N": (lambda p, v: closed_form.coeff_N(2, 1, v, p.theta, p, 2), 3),
+    "functional": (
+        lambda p, v: closed_form.functional_equation_residual(p, v), 4),
+    "zeroes": (lambda p, v: closed_form.special_zero_residual(p, v), 2),
+    "symmetry": (lambda p, v: closed_form.swap_residual(p, v, 0, 1), 2),
+    "cbb": (lambda p, v: yb_algebra.cbb_residual(2, v, p.theta, p), 3),
+    "nilpotency": (lambda p, v: yb_algebra.nilpotency_norm(p, v), 3),
+    "quadrature": (lambda p, v: contour.tensor_quadrature(
+        p, v, contour.ContourSpec(0.1 + 0.05j, 0.9), 64), 2),
+}
+
+# The checks that divide by spectral gaps, each on a vector with one
+# coincident pair; commut's pair is i*pi apart, where sinh vanishes.
+COINCIDENT = {
+    "functional": (lambda p, v: closed_form.functional_equation_residual(
+        p, v[:3] + v[:1]), (0, 3)),
+    "cbb": (lambda p, v: yb_algebra.cbb_residual(
+        2, v[:2] + v[1:2], p.theta, p), (1, 2)),
+    "commut": (lambda p, v: yb_algebra.commutation_residuals(
+        v[0], v[0] + 1j * cmath.pi, p.theta, p), (0, 1)),
+}
+
+
+class TestSpectralGate:
+    def test_returns_complex_tuple(self):
+        lams = spectral([0.5, 2, 0.3j], 3)
+        assert lams == (0.5, 2, 0.3j)
+        assert all(type(z) is complex for z in lams)
+
+    @pytest.mark.parametrize("values", [(), (0.1,), (0.1, 0.2, 0.3)])
+    def test_count(self, values):
+        with pytest.raises(BadLength,
+                           match=f"^expected 2 spectral values, "
+                                 f"got {len(values)}$"):
+            spectral(values, 2)
+
+    def test_names_first_close_pair(self):
+        lams = (0.0, 0.5, 0.5, 1j * cmath.pi)
+        assert spectral(lams, 4) == lams
+        with pytest.raises(CoincidentSpectral,
+                           match="^spectral arguments 0 and 3 coincide$"):
+            spectral(lams, 4, separated=True)
+
+    def test_floor_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(core, "EPS_SEP", abs(s(0.1)))
+        with pytest.raises(CoincidentSpectral):
+            spectral((0.0, 0.1), 2, separated=True)
+        monkeypatch.setattr(core, "EPS_SEP", abs(s(0.1)) * 0.999)
+        assert spectral((0.0, 0.1), 2, separated=True) == (0, 0.1)
+
+    def test_scaled(self):
+        assert scaled(1.0, 4.0) == 0.25
+        assert scaled(0.0, 0.0) == 0.0
+        assert scaled(0.5, 0.0) == 0.0
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    @pytest.mark.parametrize("name", GATED)
+    def test_every_caller_rejects_a_wrong_count(self, name, delta,
+                                                complex_params_l2):
+        params, lams = complex_params_l2
+        call, n = GATED[name]
+        with pytest.raises(BadLength,
+                           match=f"^expected {n} spectral values, "
+                                 f"got {n + delta}$"):
+            call(params, (lams + MORE)[:n + delta])
+
+    @pytest.mark.parametrize("name", COINCIDENT)
+    def test_separated_callers_reject_a_coincident_pair(self, name,
+                                                        complex_params_l2):
+        params, lams = complex_params_l2
+        call, (i, j) = COINCIDENT[name]
+        with pytest.raises(CoincidentSpectral,
+                           match=f"^spectral arguments {i} and {j} coincide$"):
+            call(params, lams + MORE)
 
 
 def _python(code: str) -> str:
