@@ -275,7 +275,7 @@ def cmd_bench(args) -> int:
         spec = ROUTE_TABLE[route]
         for L in range(args.lmin, min(args.lmax, spec.cap()) + 1):
             rng = random.Random(1000 + L)
-            params, lams = draw_model(rng, L, routes=("face", "permutation"))
+            params, lams = draw_model(rng, L, routes=(route,))
             if L == args.lmin:
                 # untimed, so that no row times a lazy import
                 spec.evaluate(params, lams, None)

@@ -24,7 +24,6 @@ from .core import (
     ModelParams,
     NumericalError,
     SingularTheta,
-    check_size,
     ordering_terms,
     pairwise_sum,
     s,
@@ -159,7 +158,6 @@ def _permutation_terms(params: ModelParams, lambdas) -> list:
     and each pair of positions the ratio of the parameters placed there.
     """
     L = params.L
-    check_size(params, "permutation")
     lams = validate(params, lambdas, "permutation")
     g = params.gamma
     th = params.theta

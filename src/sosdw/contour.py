@@ -21,12 +21,10 @@ from .core import (
     ModelParams,
     NoConvergence,
     ValidationError,
-    check_size,
     exp,
     ordering_terms,
     pairwise_sum,
     s,
-    spectral,
     validate,
 )
 
@@ -162,7 +160,6 @@ def partition_residue(params: ModelParams, lambdas) -> complex:
     assignments die against the vanishing pair factor, leaving a sum over
     the L! assignments of variables to distinct poles.
     """
-    check_size(params, "residue")
     lams = validate(params, lambdas, "residue")
     terms = _residue_terms(params, lams)
     return s(params.gamma) ** params.L * pairwise_sum(terms)
@@ -178,11 +175,10 @@ def tensor_quadrature(params: ModelParams, lambdas, spec: ContourSpec,
     the sum over all N^L node tuples into a product of the moments
     sum_a slot[j][a] * exp(2m * ring_a), |m| < L: O(L^2 * N) node work and
     3^(L(L-1)/2) such products for any L.  No enclosure check is performed
-    here; L is capped by the route's entry in ``core.ROUTE_TABLE``.
+    here; it runs the route's gate, ``core.validate``.
     """
-    check_size(params, "quadrature")
     L = params.L
-    lams = spectral(lambdas, L)
+    lams = validate(params, lambdas, "quadrature")
     ring = [spec.radius * cmath.exp(1j * (2.0 * math.pi * a / nodes))
             for a in range(nodes)]
     wn = [spec.center + r for r in ring]
@@ -220,7 +216,6 @@ def partition_quadrature_info(params: ModelParams, lambdas,
     by less than 1e-10 in relative terms, or raises NoConvergence past the
     node cap.
     """
-    check_size(params, "quadrature")
     lams = validate(params, lambdas, "quadrature")
     if spec is None:
         spec = auto_contour(lams)

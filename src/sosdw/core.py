@@ -266,15 +266,6 @@ ROUTE_TABLE = {
 ROUTES = tuple(ROUTE_TABLE)
 
 
-def check_size(params: ModelParams, route: str) -> None:
-    """Raise TooLarge when the system exceeds the route's cap."""
-    cap = ROUTE_TABLE[route].cap()
-    if params.L > cap:
-        raise TooLarge(
-            f"route {route} capped at L = {cap} (requested {params.L})"
-        )
-
-
 def close_pair(points, floor: float):
     """The first pair (i, j), i < j, with |sinh(z_i - z_j)| <= floor, or None.
 
@@ -309,20 +300,19 @@ def scaled(residual: float, scale: float) -> float:
 
 
 def validate(params: ModelParams, lambdas, route: str) -> tuple:
-    """Check every invariant applicable to the chosen route.
+    """The one gate of a route: cap, count, finiteness, window, coincidence.
 
     Returns the spectral parameters as a tuple of complex values, or raises
-    a ValidationError subclass identifying the first violated invariant.
+    a ValidationError subclass for the first violated invariant, in order.
     """
     if route not in ROUTE_TABLE:
         raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
     spec = ROUTE_TABLE[route]
-    lams = tuple(complex(z) for z in lambdas)
-    if len(lams) != params.L:
-        raise BadLength(
-            f"route {route}: expected {params.L} spectral parameters, "
-            f"got {len(lams)}"
+    if params.L > (cap := spec.cap()):
+        raise TooLarge(
+            f"route {route} capped at L = {cap} (requested {params.L})"
         )
+    lams = spectral(lambdas, params.L)
     for i, z in enumerate(lams):
         _need_finite(z, f"lambda[{i}]")
     for n in spec.window(params.L):

@@ -15,7 +15,6 @@ from __future__ import annotations
 from .core import (
     ModelParams,
     ValidationError,
-    check_size,
     pairwise_sum,
     scaled,
     validate,
@@ -107,7 +106,6 @@ def enumerate_partition(params: ModelParams, lambdas) -> complex:
     built once for the whole sum.
     """
     L = params.L
-    check_size(params, "face")
     lams = validate(params, lambdas, "face")
     tables = [[WeightTables(lam - m, params.theta, params) for m in params.mu]
               for lam in lams]

@@ -48,7 +48,7 @@ def draw_model(rng: random.Random, L: int, routes=("permutation",),
 
     Rejection-samples through :func:`first_admissible` until `validate`
     passes for each route in `routes` and the optional extra predicate
-    holds.
+    holds; a listed route capped below L admits no draw (NoAdmissibleDraw).
     """
     def draw():
         gamma = draw_complex(rng)

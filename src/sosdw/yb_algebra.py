@@ -28,7 +28,6 @@ from .core import (
     ModelParams,
     TooLarge,
     ValidationError,
-    check_size,
     s,
     scaled,
     spectral,
@@ -159,7 +158,6 @@ def partition_algebraic(params: ModelParams, lambdas) -> complex:
     The j-th factor (1-based) carries dynamical argument theta + j*gamma.
     """
     L = params.L
-    check_size(params, "algebra")
     lams = validate(params, lambdas, "algebra")
     v = creation_string(params, lams, params.theta, list(range(1, L + 1)))
     return complex(v[-1])
@@ -201,7 +199,7 @@ def commutation_residuals(l1: complex, l2: complex, theta: complex,
     def mat(which, lam, th):
         return _dense(which, sites(lam, th))
 
-    def scaled(m, w):
+    def times_diag(m, w):
         """m @ diag(w): column j of m times w[j]."""
         return [[x * z for z in col] for x, col in zip(w, m)]
 
@@ -246,23 +244,25 @@ def commutation_residuals(l1: complex, l2: complex, theta: complex,
     lhs = matmul(mat("D", l1, theta - g), mat("B", l2, theta))
     rhs = comb(
         (s(l1 - l2 + g) / s(l1 - l2),
-         scaled(matmul(mat("B", l2, theta - g), mat("D", l1, theta)), w_one)),
+         times_diag(matmul(mat("B", l2, theta - g), mat("D", l1, theta)),
+                    w_one)),
         (-(s(g) / s(l1 - l2)),
-         scaled(matmul(mat("B", l1, theta - g), mat("D", l2, theta)),
-                w_cross)),
+         times_diag(matmul(mat("B", l1, theta - g), mat("D", l2, theta)),
+                    w_cross)),
     )
     out["db"] = _rel(lhs, rhs)
 
     lhs = matmul(mat("C", l1, theta + g), mat("B", l2, theta))
     rhs = comb(
         (s(theta) / s(theta + g),
-         scaled(matmul(mat("B", l2, theta + g), mat("C", l1, theta + 2 * g)),
-                w_one)),
+         times_diag(matmul(mat("B", l2, theta + g),
+                           mat("C", l1, theta + 2 * g)), w_one)),
         ((s(g) / s(theta + g)) * (s(theta + g + l1 - l2) / s(l1 - l2)),
-         scaled(matmul(mat("A", l2, theta + g), mat("D", l1, theta)), w_one)),
+         times_diag(matmul(mat("A", l2, theta + g), mat("D", l1, theta)),
+                    w_one)),
         (-(s(g) / s(l1 - l2)),
-         scaled(matmul(mat("A", l1, theta + g), mat("D", l2, theta)),
-                w_cross)),
+         times_diag(matmul(mat("A", l1, theta + g), mat("D", l2, theta)),
+                    w_cross)),
     )
     out["cb"] = _rel(lhs, rhs)
     return out

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 import types
 import warnings
 
@@ -20,6 +21,7 @@ from sosdw.cli import (
 )
 from sosdw.contour import ContourSpec, auto_contour
 from sosdw.core import ROUTE_TABLE, ROUTES, BadLength, ModelParams, TooLarge
+from sosdw.sampling import draw_model
 
 
 def cfg_dict(**overrides):
@@ -464,6 +466,26 @@ class TestBenchCommand:
         assert rows
         sizes = [int(r.split(",")[1]) for r in rows]
         assert calls == [1] + [L for L in sizes for _ in range(BENCH_REPEATS)]
+
+    def test_bench_draws_each_route_for_itself(self, capsys, monkeypatch):
+        # L = 9 and 10 are past the face and permutation caps, so only an
+        # algebra draw of its own reaches them
+        seen = []
+
+        def evaluate(params, lams, contour):
+            seen.append((params, lams))
+            return 1j, None
+
+        monkeypatch.setitem(ROUTE_TABLE, "algebra", ROUTE_TABLE[
+            "algebra"]._replace(evaluate=evaluate))
+        assert main(["bench", "--lmin", "9", "--lmax", "10",
+                     "--routes", "algebra"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [r.split(",")[:2] for r in rows] == [["algebra", "9"],
+                                                    ["algebra", "10"]]
+        assert set(seen) == {
+            draw_model(random.Random(1000 + L), L, routes=("algebra",))
+            for L in (9, 10)}
 
     def test_bench_row_reports_median_of_timed_evaluations(self, capsys,
                                                             monkeypatch):

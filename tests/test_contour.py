@@ -13,6 +13,8 @@ from sosdw.core import (
     ROUTE_TABLE,
     ModelParams,
     NoConvergence,
+    NonFinite,
+    SingularTheta,
     SinhOverflow,
     TooLarge,
     pairwise_sum,
@@ -342,6 +344,18 @@ class TestQuadrature:
         lams = (0.4 + 0.05j, 0.1 - 0.1j)[:L]
         with pytest.raises(SinhOverflow, match="exp of"):
             partition_quadrature(params, lams)
+
+    @pytest.mark.parametrize("theta, lams, error", [
+        (-(0.31 + 0.12j), (0.4 + 0.05j, 0.1 - 0.1j), SingularTheta),
+        (0.57 - 0.08j, (0.4 + 0.05j, complex("nan")), NonFinite),
+    ], ids=["singular-theta", "non-finite"])
+    def test_runs_the_route_gate(self, theta, lams, error):
+        # theta = -gamma zeroes sinh(theta + gamma), a site-factor
+        # denominator; a NaN spectral parameter would give a NaN value
+        params = ModelParams(gamma=0.31 + 0.12j, theta=theta,
+                             mu=(0.13, -0.22), L=2)
+        with pytest.raises(error):
+            tensor_quadrature(params, lams, ContourSpec(0.25, 0.9), 16)
 
     def test_size_cap(self):
         # the cap is ROUTE_TABLE's policy, not a limit of the contraction:

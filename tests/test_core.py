@@ -265,6 +265,22 @@ class TestValidate:
         with pytest.raises(CoincidentSpectral, match="parameters 1 and 2 "):
             validate(p, (0.4, 0.2, 0.2), "residue")
 
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_cap_judged_before_count(self, route, monkeypatch):
+        # one gate per route: past the cap, TooLarge wins over a wrong count
+        monkeypatch.delenv("SOSDW_MAX_L_FACE", raising=False)
+        cap = core.ROUTE_TABLE[route].cap()
+        p = self.make(L=cap + 1, mu=tuple(0.05 * k for k in range(cap + 1)))
+        with pytest.raises(TooLarge, match=rf"^route {route} capped at L = "
+                                           rf"{cap} \(requested {cap + 1}\)$"):
+            validate(p, (0.4,), route)
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_count_judged_by_the_spectral_gate(self, route):
+        with pytest.raises(BadLength,
+                           match="^expected 2 spectral values, got 1$"):
+            validate(self.make(), (0.4,), route)
+
     def test_singularity_floor_value(self):
         assert EPS_SING == 1e-8 and EPS_SEP == 1e-6
 
