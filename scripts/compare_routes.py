@@ -36,7 +36,7 @@ def main(argv=None) -> int:
     tol = DEFAULT_TOLERANCES["route_agreement"]
     overall = 0.0
     for L in range(args.lmin, args.lmax + 1):
-        routes = [r for r in EXACT_ROUTES if L <= ROUTE_TABLE[r].cap()]
+        routes = [r for r in EXACT_ROUTES if L <= ROUTE_TABLE[r].cap]
         if len(routes) < 2:
             print(f"L={L}: fewer than two routes available, skipping")
             continue

@@ -59,6 +59,18 @@ def _parse_complex(obj, where) -> complex:
                    _need_number(obj["im"], f"{where}.im"))
 
 
+def _route_list(routes) -> tuple:
+    """The requested routes, if they are a nonempty list of distinct names."""
+    if (not isinstance(routes, list) or not routes
+            or any(r not in ROUTES for r in routes)
+            or len(set(routes)) != len(routes)):
+        raise ConfigError(
+            f"routes must be a nonempty list of distinct entries from "
+            f"{list(ROUTES)}"
+        )
+    return tuple(routes)
+
+
 class JobConfig(namedtuple("JobConfig",
                             "params lambdas routes seed tolerances contour")):
     """A fully parsed and validated compute job.
@@ -101,14 +113,7 @@ def load_job_config(path: str) -> JobConfig:
     lambdas = tuple(_parse_complex(z, f"lambda[{i}]")
                     for i, z in enumerate(raw["lambda"]))
 
-    routes = raw["routes"]
-    if (not isinstance(routes, list) or not routes
-            or any(r not in ROUTES for r in routes)
-            or len(set(routes)) != len(routes)):
-        raise ConfigError(
-            f"routes must be a nonempty list of distinct entries from "
-            f"{list(ROUTES)}"
-        )
+    routes = _route_list(raw["routes"])
 
     seed = raw.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
@@ -148,7 +153,7 @@ def load_job_config(path: str) -> JobConfig:
         )
 
     params = ModelParams(gamma=gamma, theta=theta, mu=mu, L=L)
-    return JobConfig(params=params, lambdas=lambdas, routes=tuple(routes),
+    return JobConfig(params=params, lambdas=lambdas, routes=routes,
                      seed=seed, tolerances=tolerances, contour=spec)
 
 
@@ -262,18 +267,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    routes = [r.strip() for r in args.routes.split(",") if r.strip()]
-    if not routes or any(r not in ROUTES for r in routes):
-        raise ConfigError(
-            f"routes must be a comma list drawn from {list(ROUTES)}"
-        )
+    routes = _route_list(
+        [r.strip() for r in args.routes.split(",") if r.strip()])
     if args.lmin < 1 or args.lmax < args.lmin:
         raise ConfigError("need 1 <= lmin <= lmax")
 
     rows = ["route,L,nodes_or_terms,wall_ms,value_re,value_im"]
     for route in routes:
         spec = ROUTE_TABLE[route]
-        for L in range(args.lmin, min(args.lmax, spec.cap()) + 1):
+        for L in range(args.lmin, min(args.lmax, spec.cap) + 1):
             rng = random.Random(1000 + L)
             params, lams = draw_model(rng, L, routes=(route,))
             if L == args.lmin:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import cmath
 import importlib
 import math
-import os
 from collections import namedtuple
 from collections.abc import Callable
 
@@ -47,7 +46,7 @@ class BadLength(ValidationError):
 
 
 class TooLarge(ValidationError):
-    """The requested system size exceeds the configured cap for the route."""
+    """The requested system size exceeds the cap of the route."""
 
 
 class NonFinite(ValidationError):
@@ -186,19 +185,6 @@ class ModelParams(namedtuple("ModelParams", "gamma theta mu L")):
         return type(self)(**{**self._asdict(), **changes})
 
 
-def face_cap() -> int:
-    """Largest size the face enumeration accepts (env-overridable)."""
-    raw = os.environ.get("SOSDW_MAX_L_FACE")
-    if raw is None:
-        return 5
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValidationError(
-            f"SOSDW_MAX_L_FACE must be an integer, got {raw!r}"
-        ) from exc
-
-
 def _asm_count(L: int) -> int:
     """Alternating sign matrices of size L, one per face configuration."""
     return (math.prod(math.factorial(3 * k + 1) for k in range(L))
@@ -227,7 +213,7 @@ class Route(namedtuple("Route", "evaluate workload cap window separated",
 
     ``evaluate(params, lambdas, contour)`` returns ``(value, detail)``, and
     ``workload(L, detail)`` the number of terms, states or nodes summed.
-    ``cap()`` is the largest accepted L.  ``window(L)`` holds the offsets n
+    ``cap`` is the largest accepted L.  ``window(L)`` holds the offsets n
     whose denominators sinh(theta + n*gamma) the route divides by;
     ``separated`` routes also divide by spectral and inhomogeneity gaps.
     """
@@ -244,23 +230,23 @@ ROUTE_TABLE = {
     "face": Route(
         _exact("face_model", "enumerate_partition"),
         workload=lambda L, _: _asm_count(L),
-        cap=face_cap, window=lambda L: range(1, L + 2)),
+        cap=5, window=lambda L: range(1, L + 2)),
     "algebra": Route(
         _exact("yb_algebra", "partition_algebraic"),
         workload=lambda L, _: 1 << L,
-        cap=lambda: 10, window=lambda L: range(1 - L, 2 * L + 2)),
+        cap=10, window=lambda L: range(1 - L, 2 * L + 2)),
     "permutation": Route(
         _exact("closed_form", "partition_permutation_sum"),
         workload=lambda L, _: math.factorial(L),
-        cap=lambda: 8, window=lambda L: range(1, 2 * L + 2), separated=True),
+        cap=8, window=lambda L: range(1, 2 * L + 2), separated=True),
     "residue": Route(
         _exact("contour", "partition_residue"),
         workload=lambda L, _: math.factorial(L),
-        cap=lambda: 8, window=lambda L: range(1, 2 * L + 2), separated=True),
+        cap=8, window=lambda L: range(1, 2 * L + 2), separated=True),
     "quadrature": Route(
         _late("contour", "partition_quadrature_info"),
         workload=lambda L, nodes: nodes,
-        cap=lambda: 3, window=lambda L: range(1, L + 1)),
+        cap=3, window=lambda L: range(1, L + 1)),
 }
 
 ROUTES = tuple(ROUTE_TABLE)
@@ -308,9 +294,9 @@ def validate(params: ModelParams, lambdas, route: str) -> tuple:
     if route not in ROUTE_TABLE:
         raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
     spec = ROUTE_TABLE[route]
-    if params.L > (cap := spec.cap()):
+    if params.L > spec.cap:
         raise TooLarge(
-            f"route {route} capped at L = {cap} (requested {params.L})"
+            f"route {route} capped at L = {spec.cap} (requested {params.L})"
         )
     lams = spectral(lambdas, params.L)
     for i, z in enumerate(lams):

@@ -336,7 +336,6 @@ SUITES = {
 }
 
 SUITE_NAMES = tuple(SUITES)
-THRESHOLDS = {name: suite.threshold for name, suite in SUITES.items()}
 
 
 def run_suite(name: str, seed: int, draws: int) -> SuiteReport:

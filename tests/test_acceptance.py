@@ -30,7 +30,7 @@ from sosdw.contour import (
 from sosdw.core import ValidationError
 from sosdw.face_model import enumerate_partition
 from sosdw.sampling import draw_model, draw_spectral
-from sosdw.verify import THRESHOLDS, run_suite
+from sosdw.verify import SUITES, run_suite
 from sosdw.yb_algebra import partition_algebraic
 
 
@@ -123,7 +123,7 @@ IDENTITY_SUITES = {
 def test_criterion_3_identity_suites():
     worst = {}
     for name, contract_threshold in IDENTITY_SUITES.items():
-        assert THRESHOLDS[name] == contract_threshold, (
+        assert SUITES[name].threshold == contract_threshold, (
             f"suite {name} runs at a threshold other than the contract")
         rep = run_suite(name, seed=0, draws=100)
         assert rep.passed, rep.render()
@@ -163,37 +163,37 @@ def test_criterion_4_functional_equation():
 def test_criterion_5_structure_checks():
     pieces = []
 
-    assert THRESHOLDS["degree"] == 1e-10
+    assert SUITES["degree"].threshold == 1e-10
     worst_deg = 0.0
     for L in (1, 2, 3, 4):
         rng = random.Random(5000 + L)
         params, _ = draw_model(rng, L, routes=("permutation",))
         for which in range(L):
             worst_deg = max(worst_deg, degree_residual(params, which))
-    assert worst_deg < THRESHOLDS["degree"]
+    assert worst_deg < SUITES["degree"].threshold
     pieces.append(f"degree residual {worst_deg:.2g} for every variable, "
                   f"L<=4")
 
-    assert THRESHOLDS["zeroes"] == 1e-9
+    assert SUITES["zeroes"].threshold == 1e-9
     rep = run_suite("zeroes", seed=0, draws=12)
     assert rep.passed, rep.render()
     assert {int(r.label.split("L=")[1]) for r in rep.rows} == {2, 3, 4}
     pieces.append(f"special zero {max(r.residual for r in rep.rows):.2g}")
 
-    assert THRESHOLDS["symmetry"] == 1e-11
+    assert SUITES["symmetry"].threshold == 1e-11
     rep = run_suite("symmetry", seed=0, draws=12)
     assert rep.passed, rep.render()
     pieces.append(f"row/column symmetry "
                   f"{max(r.residual for r in rep.rows):.2g}")
 
-    assert THRESHOLDS["asymptotic"] == 1e-12
+    assert SUITES["asymptotic"].threshold == 1e-12
     rep = run_suite("asymptotic", seed=0, draws=12)
     assert rep.passed, rep.render()
     assert {int(r.label.split("L=")[1]) for r in rep.rows} == {1, 2, 3}
     pieces.append(f"asymptotic coefficient "
                   f"{max(r.residual for r in rep.rows):.2g}")
 
-    assert THRESHOLDS["ode"] == 1e-12
+    assert SUITES["ode"].threshold == 1e-12
     rep = run_suite("ode", seed=0, draws=100)
     assert rep.passed, rep.render()
     pieces.append(f"size-one differential relation x100 "

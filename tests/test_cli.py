@@ -425,13 +425,12 @@ class TestBenchCommand:
     @pytest.mark.parametrize("route", ROUTES)
     def test_bench_stops_one_below_where_route_raises(self, route, capsys,
                                                       monkeypatch):
-        monkeypatch.delenv("SOSDW_MAX_L_FACE", raising=False)
         spec = ROUTE_TABLE[route]
         # bench walks its sizes against a stub; the real route judges them
         monkeypatch.setitem(ROUTE_TABLE, route, spec._replace(
             evaluate=lambda p, lams, c: (1j, None),
             workload=lambda L, detail: 0))
-        main(["bench", "--lmin", "1", "--lmax", str(spec.cap() + 2),
+        main(["bench", "--lmin", "1", "--lmax", str(spec.cap + 2),
               "--routes", route])
         last = int(capsys.readouterr().out.splitlines()[-1].split(",")[1])
 
@@ -517,6 +516,20 @@ class TestBenchCommand:
                      "--routes", "face,warp"])
         err = capsys.readouterr().err
         assert code == 2
+
+    @pytest.mark.parametrize("routes", [",", "warp", "face,face"])
+    def test_bench_route_list_judged_like_a_job_file(self, routes, tmp_path,
+                                                     capsys):
+        code = main(["bench", "--lmin", "1", "--lmax", "1",
+                     "--routes", routes])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        error = json.loads(captured.err)["error"]
+        assert error["type"] == "ConfigError"
+        with pytest.raises(ConfigError) as info:
+            load_job_config(write_cfg(
+                tmp_path, routes=[r for r in routes.split(",") if r]))
+        assert error["message"] == str(info.value)
 
     def test_missing_required_flags_exit_nonzero(self, capsys):
         with pytest.raises(SystemExit):

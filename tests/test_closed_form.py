@@ -33,7 +33,7 @@ from sosdw.closed_form import (
 )
 from sosdw.face_model import enumerate_partition
 from sosdw.sampling import draw_model, draw_spectral
-from sosdw.verify import THRESHOLDS
+from sosdw.verify import SUITES
 
 
 def perm_sum_mp(params, lams, dps=50):
@@ -215,7 +215,7 @@ class TestAnalyticStructure:
     def test_degree_in_each_variable(self, rng, L):
         params, _ = draw_model(rng, L)
         for which in range(L):
-            assert degree_residual(params, which) < THRESHOLDS["degree"]
+            assert degree_residual(params, which) < SUITES["degree"].threshold
 
     @pytest.mark.parametrize("L", [1, 2, 3, 4])
     def test_degree_residual_flags_one_degree_too_many(self, rng, monkeypatch,

@@ -199,7 +199,7 @@ class TestPairLegs:
         # L = 4 lies past the route's cap: lift it here alone, to show the
         # contraction itself holds for any L
         monkeypatch.setitem(ROUTE_TABLE, "quadrature",
-                            ROUTE_TABLE["quadrature"]._replace(cap=lambda: 4))
+                            ROUTE_TABLE["quadrature"]._replace(cap=4))
         for _ in range(3):
             params, lams = draw_clustered(rng, L)
             lams = tuple(complex(z) for z in lams)

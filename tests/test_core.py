@@ -266,10 +266,9 @@ class TestValidate:
             validate(p, (0.4, 0.2, 0.2), "residue")
 
     @pytest.mark.parametrize("route", ROUTES)
-    def test_cap_judged_before_count(self, route, monkeypatch):
+    def test_cap_judged_before_count(self, route):
         # one gate per route: past the cap, TooLarge wins over a wrong count
-        monkeypatch.delenv("SOSDW_MAX_L_FACE", raising=False)
-        cap = core.ROUTE_TABLE[route].cap()
+        cap = core.ROUTE_TABLE[route].cap
         p = self.make(L=cap + 1, mu=tuple(0.05 * k for k in range(cap + 1)))
         with pytest.raises(TooLarge, match=rf"^route {route} capped at L = "
                                            rf"{cap} \(requested {cap + 1}\)$"):

@@ -9,8 +9,6 @@ from sosdw.core import (
     ROUTE_TABLE,
     ModelParams,
     TooLarge,
-    ValidationError,
-    face_cap,
     pairwise_sum,
 )
 from sosdw.closed_form import partition_permutation_sum
@@ -301,19 +299,6 @@ class TestEnumeration:
         with pytest.raises(TooLarge):
             enumerate_partition(params, tuple(0.1 * k + 0.2j
                                               for k in range(6)))
-
-    def test_cap_env_override(self, monkeypatch):
-        monkeypatch.setenv("SOSDW_MAX_L_FACE", "2")
-        assert face_cap() == 2
-        params = ModelParams(gamma=0.31 + 0.12j, theta=0.57 - 0.08j,
-                             mu=(0.1, 0.2, 0.3), L=3)
-        with pytest.raises(TooLarge):
-            enumerate_partition(params, (0.1, 0.2, 0.3))
-
-    def test_cap_env_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv("SOSDW_MAX_L_FACE", "many")
-        with pytest.raises(ValidationError):
-            face_cap()
 
 
 class TestHexagonIdentity:

@@ -7,7 +7,7 @@ import re
 import pytest
 
 from sosdw import closed_form, contour, rmatrix
-from sosdw.verify import SUITE_NAMES, THRESHOLDS, CheckRow, run_suite
+from sosdw.verify import SUITE_NAMES, SUITES, CheckRow, run_suite
 
 
 EXPECTED_SUITES = (
@@ -39,7 +39,8 @@ def test_suite_names_pinned():
 
 
 def test_thresholds_pinned():
-    assert THRESHOLDS == EXPECTED_THRESHOLDS
+    assert ({name: suite.threshold for name, suite in SUITES.items()}
+            == EXPECTED_THRESHOLDS)
 
 
 def test_unknown_suite_rejected():
