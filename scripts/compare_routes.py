@@ -32,11 +32,22 @@ def main(argv=None) -> int:
     ap.add_argument("--draws", type=int, default=5)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
+    # A sweep that compares nothing must not read as a pass.
+    if args.lmin < 1:
+        ap.error("--lmin must be at least 1")
+    if args.lmax < args.lmin:
+        ap.error("--lmax must be at least --lmin")
+    if args.draws < 1:
+        ap.error("--draws must be at least 1")
+    sizes = {L: [r for r in EXACT_ROUTES if L <= ROUTE_TABLE[r].cap]
+             for L in range(args.lmin, args.lmax + 1)}
+    if all(len(routes) < 2 for routes in sizes.values()):
+        ap.error(f"no size in L = {args.lmin}..{args.lmax} has two exact "
+                 f"routes to compare")
 
     tol = DEFAULT_TOLERANCES["route_agreement"]
     overall = 0.0
-    for L in range(args.lmin, args.lmax + 1):
-        routes = [r for r in EXACT_ROUTES if L <= ROUTE_TABLE[r].cap]
+    for L, routes in sizes.items():
         if len(routes) < 2:
             print(f"L={L}: fewer than two routes available, skipping")
             continue

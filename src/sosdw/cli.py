@@ -72,7 +72,7 @@ def _route_list(routes) -> tuple:
 
 
 class JobConfig(namedtuple("JobConfig",
-                            "params lambdas routes seed tolerances contour")):
+                            "params lambdas routes tolerances contour")):
     """A fully parsed and validated compute job.
 
     ``contour`` is a :class:`sosdw.contour.ContourSpec`, or None when the
@@ -154,7 +154,7 @@ def load_job_config(path: str) -> JobConfig:
 
     params = ModelParams(gamma=gamma, theta=theta, mu=mu, L=L)
     return JobConfig(params=params, lambdas=lambdas, routes=routes,
-                     seed=seed, tolerances=tolerances, contour=spec)
+                     tolerances=tolerances, contour=spec)
 
 
 def _g17(x: float) -> str:

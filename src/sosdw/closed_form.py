@@ -13,22 +13,19 @@ source expression independently.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 
 from .core import (
-    EPS_SING,
     ROUTE_TABLE,
     BadLength,
-    CoincidentSpectral,
     ModelParams,
     NumericalError,
-    SingularTheta,
     ordering_terms,
     pairwise_sum,
     s,
     scaled,
     spectral,
+    theta_window,
     validate,
 )
 
@@ -39,58 +36,48 @@ def _evaluator(params: ModelParams, route: str):
     return lambda lams: evaluate(params, lams, None)[0]
 
 
-def _den(error: type, what: str, z: complex) -> complex:
-    """sinh(z) as a denominator; raises ``error`` when it is numerically 0."""
-    v = s(z)
-    if abs(v) < 1e-13:
-        raise error(f"{what} denominator is numerically zero")
-    return v
-
-
-_den_spectral = functools.partial(_den, CoincidentSpectral,
-                                  "spectral-difference")
-_den_theta = functools.partial(_den, SingularTheta, "dynamical")
-
-
 def coeff_M(i: int, lambdas, theta: complex, params: ModelParams,
             n: int) -> complex:
     """First-family exchange coefficient, index i in 1..n.
 
     ``lambdas`` holds the n+1 values (lambda_0, ..., lambda_n).  Two terms
-    are transcribed verbatim and added; no cancellation is performed.
+    are transcribed verbatim and added; no cancellation is performed.  Both
+    coefficients divide by the gaps of ``lambdas``, which ``spectral`` judges,
+    and by sinh(theta + k*gamma), k = n, 2n-1-L, 2n-L, n-L (``theta_window``).
     """
     if not 1 <= i <= n:
         raise BadLength(f"coefficient index {i} outside 1..{n}")
-    lam = spectral(lambdas, n + 1)
+    lam = spectral(lambdas, n + 1, separated=True)
     g = params.gamma
     L = params.L
     mu = params.mu
+    theta_window(theta, g, (n, 2 * n - 1 - L, 2 * n - L, n - L))
 
-    t1 = s(g) / _den_spectral(lam[i] - lam[0])
-    t1 *= s(theta + g) / _den_theta(theta + n * g)
+    t1 = s(g) / s(lam[i] - lam[0])
+    t1 *= s(theta + g) / s(theta + n * g)
     t1 *= s(lam[0] - lam[i] + theta + (2 * n - 1 - L) * g) \
-        / _den_theta(theta + (2 * n - 1 - L) * g)
-    t1 *= s(theta + (n - L) * g) / _den_theta(theta + (2 * n - L) * g)
-    t1 *= s(theta + n * g) / _den_theta(theta + (n - L) * g)
+        / s(theta + (2 * n - 1 - L) * g)
+    t1 *= s(theta + (n - L) * g) / s(theta + (2 * n - L) * g)
+    t1 *= s(theta + n * g) / s(theta + (n - L) * g)
     for l in range(L):
         t1 *= s(lam[0] - mu[l] + g) * s(lam[i] - mu[l])
     for k in range(1, n + 1):
         if k == i:
             continue
-        t1 *= s(lam[i] - lam[k] + g) / _den_spectral(lam[i] - lam[k])
-        t1 *= s(lam[k] - lam[0] + g) / _den_spectral(lam[k] - lam[0])
+        t1 *= s(lam[i] - lam[k] + g) / s(lam[i] - lam[k])
+        t1 *= s(lam[k] - lam[0] + g) / s(lam[k] - lam[0])
 
-    t2 = s(g) / _den_spectral(lam[0] - lam[i])
-    t2 *= s(lam[0] - lam[i] + theta + g) / _den_theta(theta + n * g)
-    t2 *= s(theta + (n - L) * g) / _den_theta(theta + (2 * n - L) * g)
-    t2 *= s(theta + n * g) / _den_theta(theta + (n - L) * g)
+    t2 = s(g) / s(lam[0] - lam[i])
+    t2 *= s(lam[0] - lam[i] + theta + g) / s(theta + n * g)
+    t2 *= s(theta + (n - L) * g) / s(theta + (2 * n - L) * g)
+    t2 *= s(theta + n * g) / s(theta + (n - L) * g)
     for l in range(L):
         t2 *= s(lam[i] - mu[l] + g) * s(lam[0] - mu[l])
     for k in range(1, n + 1):
         if k == i:
             continue
-        t2 *= s(lam[0] - lam[k] + g) / _den_spectral(lam[0] - lam[k])
-        t2 *= s(lam[k] - lam[i] + g) / _den_spectral(lam[k] - lam[i])
+        t2 *= s(lam[0] - lam[k] + g) / s(lam[0] - lam[k])
+        t2 *= s(lam[k] - lam[i] + g) / s(lam[k] - lam[i])
 
     return t1 + t2
 
@@ -99,21 +86,21 @@ def _coeff_N_half(j: int, i: int, lam, theta, params, n) -> complex:
     g = params.gamma
     L = params.L
     mu = params.mu
-    u = s(g) / _den_spectral(lam[0] - lam[j])
-    u *= s(g) / _den_spectral(lam[i] - lam[0])
-    u *= s(lam[j] - lam[i] + g) / _den_spectral(lam[j] - lam[i])
-    u *= s(lam[0] - lam[i] + theta + g) / _den_theta(theta + n * g)
+    u = s(g) / s(lam[0] - lam[j])
+    u *= s(g) / s(lam[i] - lam[0])
+    u *= s(lam[j] - lam[i] + g) / s(lam[j] - lam[i])
+    u *= s(lam[0] - lam[i] + theta + g) / s(theta + n * g)
     u *= s(lam[0] - lam[j] + theta + (2 * n - 1 - L) * g) \
-        / _den_theta(theta + (2 * n - 1 - L) * g)
-    u *= s(theta + (n - L) * g) / _den_theta(theta + (2 * n - L) * g)
-    u *= s(theta + n * g) / _den_theta(theta + (n - L) * g)
+        / s(theta + (2 * n - 1 - L) * g)
+    u *= s(theta + (n - L) * g) / s(theta + (2 * n - L) * g)
+    u *= s(theta + n * g) / s(theta + (n - L) * g)
     for l in range(L):
         u *= s(lam[i] - mu[l] + g) * s(lam[j] - mu[l])
     for m in range(1, n + 1):
         if m in (i, j):
             continue
-        u *= s(lam[j] - lam[m] + g) / _den_spectral(lam[j] - lam[m])
-        u *= s(lam[m] - lam[i] + g) / _den_spectral(lam[m] - lam[i])
+        u *= s(lam[j] - lam[m] + g) / s(lam[j] - lam[m])
+        u *= s(lam[m] - lam[i] + g) / s(lam[m] - lam[i])
     return u
 
 
@@ -126,7 +113,9 @@ def coeff_N(j: int, i: int, lambdas, theta: complex, params: ModelParams,
     """
     if not 1 <= i < j <= n:
         raise BadLength(f"coefficient indices ({j}, {i}) outside 1<=i<j<=n")
-    lam = spectral(lambdas, n + 1)
+    lam = spectral(lambdas, n + 1, separated=True)
+    L = params.L
+    theta_window(theta, params.gamma, (n, 2 * n - 1 - L, 2 * n - L, n - L))
     return (_coeff_N_half(j, i, lam, theta, params, n)
             + _coeff_N_half(i, j, lam, theta, params, n))
 
@@ -259,19 +248,17 @@ def asymptotic_leading_coefficient(params: ModelParams) -> complex:
 
     The partition function times prod_i xbar_i^L is a polynomial of degree L
     in each x_i = xbar_i^2; this returns its closed-form top coefficient.
+    It divides by q^(2n) t^2 - 1 = 2 e^(theta + n gamma) sinh(theta +
+    n gamma) for n = 1..L, so ``theta_window`` judges those offsets.
     """
     L = params.L
+    theta_window(params.theta, params.gamma, range(1, L + 1))
     q = cmath.exp(params.gamma)
     t = cmath.exp(params.theta)
     ubar = [cmath.exp(m) for m in params.mu]
     denom = 1.0 + 0j
     for n in range(1, L + 1):
-        f = 1.0 - q ** (2 * n) * t ** 2
-        if abs(f) <= EPS_SING:
-            raise SingularTheta(
-                f"1 - q^{2 * n} t^2 is numerically zero"
-            )
-        denom *= f * ubar[n - 1] ** L
+        denom *= (1.0 - q ** (2 * n) * t ** 2) * ubar[n - 1] ** L
     return ((q - 1 / q) ** L / 2 ** (L * L)) * q_factorial(q * q, L) / denom
 
 
@@ -336,20 +323,19 @@ def ode_residual_L1(x: complex, params: ModelParams) -> float:
 
     Evaluates P0 * f + P1 * f' + P2 * f'' at the given x with f the linear
     closed-form solution, normalized by the largest term.  The polynomial
-    coefficients are transcribed verbatim.
+    coefficients are transcribed verbatim.  f divides by q^2 t^2 - 1, a
+    multiple of sinh(theta + gamma).
     """
     if params.L != 1:
         raise BadLength("the differential equation applies to one row only")
+    theta_window(params.theta, params.gamma, (1,))
     q = cmath.exp(params.gamma)
     t = cmath.exp(params.theta)
     # u is the exact square of ubar, so half-integer powers of u go
     # through ubar.
     ub = cmath.exp(params.mu[0])
     u = ub * ub
-    pole = 1.0 - q ** 2 * t ** 2
-    if abs(pole) <= EPS_SING:
-        raise SingularTheta("1 - q^2 t^2 is numerically zero")
-    c1 = (q - 1 / q) / (2.0 * pole * ub)
+    c1 = (q - 1 / q) / (2.0 * (1.0 - q ** 2 * t ** 2) * ub)
     f = c1 * (x - q ** 2 * t ** 2 * u)
     f1 = c1
 

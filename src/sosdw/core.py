@@ -285,6 +285,18 @@ def scaled(residual: float, scale: float) -> float:
     return 0.0 if scale == 0.0 else residual / scale
 
 
+def theta_window(theta: complex, gamma: complex, offsets) -> None:
+    """The one gate on the denominators sinh(theta + n*gamma), n in offsets.
+
+    SingularTheta for the first n whose |sinh| is at or below EPS_SING.
+    """
+    for n in offsets:
+        if abs(s(theta + n * gamma)) <= EPS_SING:
+            raise SingularTheta(
+                f"sinh(theta + {n}*gamma) is below {EPS_SING:g}"
+            )
+
+
 def validate(params: ModelParams, lambdas, route: str) -> tuple:
     """The one gate of a route: cap, count, finiteness, window, coincidence.
 
@@ -301,11 +313,7 @@ def validate(params: ModelParams, lambdas, route: str) -> tuple:
     lams = spectral(lambdas, params.L)
     for i, z in enumerate(lams):
         _need_finite(z, f"lambda[{i}]")
-    for n in spec.window(params.L):
-        if abs(s(params.theta + n * params.gamma)) <= EPS_SING:
-            raise SingularTheta(
-                f"sinh(theta + {n}*gamma) is below {EPS_SING:g}"
-            )
+    theta_window(params.theta, params.gamma, spec.window(params.L))
     if spec.separated:
         if (pair := close_pair(lams, EPS_SEP)) is not None:
             raise CoincidentSpectral(

@@ -115,6 +115,8 @@ def _generic_closed_form(params) -> bool:
 
 
 def _cartan_floor_ok(params, floor=1e-2) -> bool:
+    """A draw-region floor, not a guard: each Cartan factor of the commut
+    suite, |2 sinh(theta + (2-h)*gamma)| for h in -L..L, is >= floor."""
     q = cmath.exp(params.gamma)
     t = cmath.exp(params.theta)
     return all(abs(t * q ** (2 - h) - q ** (h - 2) / t) >= floor
@@ -122,6 +124,8 @@ def _cartan_floor_ok(params, floor=1e-2) -> bool:
 
 
 def _qt_floor_ok(params, floor=1e-3) -> bool:
+    """A draw-region floor, not a guard: |q^(2n) t^2 - 1|, which is
+    |2 e^(theta + n*gamma) sinh(theta + n*gamma)|, is >= floor for n = 1..L."""
     q = cmath.exp(params.gamma)
     t = cmath.exp(params.theta)
     return all(abs(1 - q ** (2 * n) * t ** 2) >= floor

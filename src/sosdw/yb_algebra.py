@@ -27,17 +27,13 @@ from .core import (
     BadLength,
     ModelParams,
     TooLarge,
-    ValidationError,
     s,
     scaled,
     spectral,
+    theta_window,
     validate,
 )
 from .rmatrix import WeightTables, matmul, max_abs, max_abs_diff
-
-
-class SingularKFactor(ValidationError):
-    """A diagonal Cartan combination is numerically non-invertible."""
 
 
 # (aux_out_bit, aux_in_bit) selecting each monodromy entry.
@@ -181,9 +177,14 @@ def commutation_residuals(l1: complex, l2: complex, theta: complex,
     max-abs entries.  The relations with the Cartan factor q^H are left
     out: they hold for any matrices with the ice-rule layout, in which A
     and D keep the total spin, B lowers it by 2 and C raises it by 2.
+
+    They divide by sinh(l1 - l2) (``spectral``) and by sinh(theta + n*gamma)
+    at n = 1, 2 and at n = 2 - h for each total spin h in -L..L, through the
+    Cartan factor t q^(2-h) - q^(h-2)/t = 2 sinh(theta + (2-h)*gamma).
     """
     spectral((l1, l2), 2, separated=True)
     g = params.gamma
+    theta_window(theta, g, (1, 2, *range(2 - params.L, 3 + params.L, 2)))
     q = cmath.exp(g)
     t = cmath.exp(theta)
     kvec = [q ** h for h in cartan_h(params.L)]
@@ -216,10 +217,6 @@ def commutation_residuals(l1: complex, l2: complex, theta: complex,
         return [c_inv / k + c_dir * k for k in kvec]
 
     g_main = kcomb(t * q ** 2, -(q ** -2) / t)
-    if min(abs(z) for z in g_main) < 1e-10:
-        raise SingularKFactor(
-            "the q^2-shifted Cartan combination is not invertible"
-        )
     g_one = kcomb(t * q, -1 / (t * q))
     xb1, xb2 = cmath.exp(l1), cmath.exp(l2)
     g_cross = kcomb(t * q * xb1 / xb2, -xb2 / (xb1 * t * q))

@@ -52,7 +52,6 @@ class TestLoadJobConfig:
         assert cfg.params.mu == (0.13 + 0j, -0.22 + 0j)
         assert cfg.lambdas == (0.41 + 0j, 0.18 + 0j)
         assert cfg.routes == ("face", "algebra", "permutation", "residue")
-        assert cfg.seed == 0
         assert cfg.tolerances == DEFAULT_TOLERANCES
         assert cfg.contour is None
 

@@ -313,8 +313,13 @@ GATED = {
 }
 
 # The checks that divide by spectral gaps, each on a vector with one
-# coincident pair; commut's pair is i*pi apart, where sinh vanishes.
+# coincident pair; commut's pair is i*pi apart, where sinh vanishes, and
+# the coefficients' pair 1e-9 apart, within EPS_SEP.
 COINCIDENT = {
+    "coeff_M": (lambda p, v: closed_form.coeff_M(
+        1, v[:2] + (v[1] + 1e-9,), p.theta, p, 2), (1, 2)),
+    "coeff_N": (lambda p, v: closed_form.coeff_N(
+        2, 1, v[:2] + (v[1] + 1e-9,), p.theta, p, 2), (1, 2)),
     "functional": (lambda p, v: closed_form.functional_equation_residual(
         p, v[:3] + v[:1]), (0, 3)),
     "cbb": (lambda p, v: yb_algebra.cbb_residual(
@@ -322,6 +327,59 @@ COINCIDENT = {
     "commut": (lambda p, v: yb_algebra.commutation_residuals(
         v[0], v[0] + 1j * cmath.pi, p.theta, p), (0, 1)),
 }
+
+
+GAMMA = 0.31 + 0.12j
+LAMS = (0.41 + 0.05j, 0.18 - 0.27j, -0.3 + 0.1j)
+
+
+def _at(L, theta):
+    return ModelParams(gamma=GAMMA, theta=theta,
+                       mu=(0.13 - 0.21j, -0.22 + 0.15j, 0.37 + 0.18j)[:L], L=L)
+
+
+# Every identity check that divides by sinh(theta + n*gamma), called at a
+# given theta, with the offsets n it judges through core.theta_window.
+WINDOWED = {
+    "coeff_M": (lambda th: closed_form.coeff_M(
+        1, LAMS, th, _at(2, 0), 2), (0, 1, 2)),
+    "coeff_N": (lambda th: closed_form.coeff_N(
+        2, 1, LAMS, th, _at(2, 0), 2), (0, 1, 2)),
+    "commut L=2": (lambda th: yb_algebra.commutation_residuals(
+        *LAMS[:2], th, _at(2, 0)), (0, 1, 2, 4)),
+    "commut L=3": (lambda th: yb_algebra.commutation_residuals(
+        *LAMS[:2], th, _at(3, 0)), (-1, 1, 2, 3, 5)),
+    "asymptotic": (lambda th: closed_form.asymptotic_leading_coefficient(
+        _at(3, th)), (1, 2, 3)),
+    "ode": (lambda th: closed_form.ode_residual_L1(
+        cmath.exp(0.4 + 0.2j), _at(1, th)), (1,)),
+}
+
+
+class TestThetaWindow:
+    @pytest.mark.parametrize("name, n", [
+        (name, n) for name, (_, window) in WINDOWED.items() for n in window])
+    def test_every_offset_of_the_window_raises(self, name, n):
+        call, _ = WINDOWED[name]
+        with pytest.raises(SingularTheta,
+                           match=rf"^sinh\(theta \+ {n}\*gamma\) "
+                                 rf"is below 1e-08$"):
+            call(-n * GAMMA)
+
+    @pytest.mark.parametrize("call", [
+        closed_form.asymptotic_leading_coefficient,
+        lambda p: closed_form.ode_residual_L1(1.3, p)],
+        ids=["asymptotic", "ode"])
+    def test_floor_is_the_sinh_of_the_core_gate(self, call):
+        # |1 - q^2 t^2| is about 1e-8 here, |sinh(theta + gamma)| 5e-9
+        with pytest.raises(SingularTheta, match=r"^sinh\(theta \+ 1\*gamma"):
+            call(_at(1, -GAMMA + 5e-9))
+
+    @pytest.mark.parametrize("name", ["coeff_M", "coeff_N", "asymptotic",
+                                      "ode"])
+    def test_offset_past_the_window_is_finite(self, name):
+        call, window = WINDOWED[name]
+        assert cmath.isfinite(call(-(max(window) + 1) * GAMMA))
 
 
 class TestSpectralGate:

@@ -1,4 +1,5 @@
-"""Smoke tests: each script in scripts/ runs end to end and exits 0."""
+"""Smoke tests: each script in scripts/ runs end to end and exits 0, and
+rejects with exit 2 an argument set under which it would check nothing."""
 
 import importlib.util
 from pathlib import Path
@@ -28,3 +29,19 @@ def _load(name):
 def test_script_main_returns_zero(name, argv, capsys):
     assert _load(name).main(argv) == 0
     assert "PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--lmin", "0"], "--lmin must be at least 1"),
+    (["--lmin", "5", "--lmax", "4"], "--lmax must be at least --lmin"),
+    (["--draws", "0"], "--draws must be at least 1"),
+    # past the caps of all but the algebra route
+    (["--lmin", "9", "--lmax", "10", "--draws", "1"],
+     "no size in L = 9..10 has two exact routes to compare"),
+])
+def test_compare_routes_rejects_an_empty_comparison(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        _load("compare_routes").main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.rstrip().endswith(f"error: {message}")
