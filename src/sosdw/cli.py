@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import random
 import sys
 import time
 from collections import namedtuple
@@ -22,8 +21,6 @@ from .core import (
     ROUTES,
     ValidationError,
 )
-from .sampling import draw_model
-from .verify import SUITE_NAMES, run_suite
 
 DEFAULT_TOLERANCES = {"route_agreement": 1e-9}
 BENCH_REPEATS = 3  # timed evaluations per bench row; the row reports their median
@@ -197,17 +194,11 @@ def compute_report(cfg: JobConfig, with_timings: bool = True) -> dict:
         values[route] = value
         routes[route] = entry
 
-    ratio = None
-    if "face" in values and "algebra" in values and abs(values["face"]) > 0:
-        r = values["algebra"] / values["face"]
-        ratio = {"re": r.real, "im": r.imag}
-
     return {
         "L": cfg.params.L,
         "routes": routes,
         "deviations": pairwise_deviations(
             values, cfg.tolerances["route_agreement"]),
-        "reconciliation_ratio": ratio,
         "tolerances": cfg.tolerances,
     }
 
@@ -234,12 +225,6 @@ def render_report(report: dict, with_timings: bool) -> str:
             tag = "PASS" if dev["within_tolerance"] else "FAIL"
             pair = "|".join(dev["routes"])
             lines.append(f"  {pair:<24}{_g17(dev['relative']):<26}{tag}")
-    ratio = report["reconciliation_ratio"]
-    if ratio is not None:
-        lines.append(
-            f"reconciliation ratio (algebra/face): "
-            f"{_g17(ratio['re'])} {ratio['im']:+.17g}j"
-        )
     return "\n".join(lines)
 
 
@@ -255,7 +240,17 @@ def cmd_compute(args) -> int:
     return 0
 
 
+def _suite_name(name: str) -> str:
+    """A ``verify.SUITES`` name; ``verify`` is imported only to check one."""
+    from .verify import SUITES
+    if name not in SUITES:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {name!r} (choose from {list(SUITES)})")
+    return name
+
+
 def cmd_verify(args) -> int:
+    from .verify import SUITE_NAMES, run_suite
     passed = True
     for i, name in enumerate(args.suite or SUITE_NAMES):
         report = run_suite(name, args.seed, args.draws)
@@ -267,6 +262,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    import random
+    from .sampling import draw_model
     routes = _route_list(
         [r.strip() for r in args.routes.split(",") if r.strip()])
     if args.lmin < 1 or args.lmax < args.lmin:
@@ -325,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser(
         "verify", help="run randomized identity suites"
     )
-    p_verify.add_argument("--suite", action="append", choices=SUITE_NAMES,
+    p_verify.add_argument("--suite", action="append", type=_suite_name,
                           help="suite to run; repeat for several "
                                "(default: all, in table order)")
     p_verify.add_argument("--seed", type=int, default=0)

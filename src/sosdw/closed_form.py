@@ -20,6 +20,7 @@ from .core import (
     BadLength,
     ModelParams,
     NumericalError,
+    exp,
     ordering_terms,
     pairwise_sum,
     s,
@@ -253,9 +254,9 @@ def asymptotic_leading_coefficient(params: ModelParams) -> complex:
     """
     L = params.L
     theta_window(params.theta, params.gamma, range(1, L + 1))
-    q = cmath.exp(params.gamma)
-    t = cmath.exp(params.theta)
-    ubar = [cmath.exp(m) for m in params.mu]
+    q = exp(params.gamma)
+    t = exp(params.theta)
+    ubar = [exp(m) for m in params.mu]
     denom = 1.0 + 0j
     for n in range(1, L + 1):
         denom *= (1.0 - q ** (2 * n) * t ** 2) * ubar[n - 1] ** L
@@ -329,11 +330,11 @@ def ode_residual_L1(x: complex, params: ModelParams) -> float:
     if params.L != 1:
         raise BadLength("the differential equation applies to one row only")
     theta_window(params.theta, params.gamma, (1,))
-    q = cmath.exp(params.gamma)
-    t = cmath.exp(params.theta)
+    q = exp(params.gamma)
+    t = exp(params.theta)
     # u is the exact square of ubar, so half-integer powers of u go
     # through ubar.
-    ub = cmath.exp(params.mu[0])
+    ub = exp(params.mu[0])
     u = ub * ub
     c1 = (q - 1 / q) / (2.0 * (1.0 - q ** 2 * t ** 2) * ub)
     f = c1 * (x - q ** 2 * t ** 2 * u)

@@ -18,7 +18,6 @@ order, and a dense operator is a plain list of its 2^L columns, the form of
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from operator import sub
@@ -27,6 +26,7 @@ from .core import (
     BadLength,
     ModelParams,
     TooLarge,
+    exp,
     s,
     scaled,
     spectral,
@@ -179,14 +179,14 @@ def commutation_residuals(l1: complex, l2: complex, theta: complex,
     and D keep the total spin, B lowers it by 2 and C raises it by 2.
 
     They divide by sinh(l1 - l2) (``spectral``) and by sinh(theta + n*gamma)
-    at n = 1, 2 and at n = 2 - h for each total spin h in -L..L, through the
-    Cartan factor t q^(2-h) - q^(h-2)/t = 2 sinh(theta + (2-h)*gamma).
+    for n = -L..L+2 (``theta_window``): site tables at -L..L+1, the Cartan
+    factor t q^(2-h) - q^(h-2)/t = 2 sinh(theta + (2-h)*gamma) at |h| <= L.
     """
     spectral((l1, l2), 2, separated=True)
     g = params.gamma
-    theta_window(theta, g, (1, 2, *range(2 - params.L, 3 + params.L, 2)))
-    q = cmath.exp(g)
-    t = cmath.exp(theta)
+    theta_window(theta, g, range(-params.L, params.L + 3))
+    q = exp(g)
+    t = exp(theta)
     kvec = [q ** h for h in cartan_h(params.L)]
 
     # The relations reuse entries: 15 distinct matrices among 24 uses, and
@@ -218,7 +218,7 @@ def commutation_residuals(l1: complex, l2: complex, theta: complex,
 
     g_main = kcomb(t * q ** 2, -(q ** -2) / t)
     g_one = kcomb(t * q, -1 / (t * q))
-    xb1, xb2 = cmath.exp(l1), cmath.exp(l2)
+    xb1, xb2 = exp(l1), exp(l2)
     g_cross = kcomb(t * q * xb1 / xb2, -xb2 / (xb1 * t * q))
     w_one = [a / b for a, b in zip(g_one, g_main)]
     w_cross = [a / b for a, b in zip(g_cross, g_main)]

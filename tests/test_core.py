@@ -346,9 +346,9 @@ WINDOWED = {
     "coeff_N": (lambda th: closed_form.coeff_N(
         2, 1, LAMS, th, _at(2, 0), 2), (0, 1, 2)),
     "commut L=2": (lambda th: yb_algebra.commutation_residuals(
-        *LAMS[:2], th, _at(2, 0)), (0, 1, 2, 4)),
+        *LAMS[:2], th, _at(2, 0)), tuple(range(-2, 5))),
     "commut L=3": (lambda th: yb_algebra.commutation_residuals(
-        *LAMS[:2], th, _at(3, 0)), (-1, 1, 2, 3, 5)),
+        *LAMS[:2], th, _at(3, 0)), tuple(range(-3, 6))),
     "asymptotic": (lambda th: closed_form.asymptotic_leading_coefficient(
         _at(3, th)), (1, 2, 3)),
     "ode": (lambda th: closed_form.ode_residual_L1(
@@ -380,6 +380,22 @@ class TestThetaWindow:
     def test_offset_past_the_window_is_finite(self, name):
         call, window = WINDOWED[name]
         assert cmath.isfinite(call(-(max(window) + 1) * GAMMA))
+
+
+# gamma = -1 + 0.3j keeps sinh(theta + n*gamma) in range at the windows of
+# asymptotic and ode, where e^theta overflows.
+OVERFLOWING = ModelParams(gamma=-1 + 0.3j, theta=709.9, mu=(0.13,), L=1)
+
+
+@pytest.mark.parametrize("call", [
+    closed_form.asymptotic_leading_coefficient,
+    lambda p: closed_form.ode_residual_L1(1.3, p),
+    lambda p: yb_algebra.commutation_residuals(*LAMS[:2], p.theta, p),
+    lambda p: yb_algebra.commutation_residuals(p.theta, LAMS[1], 0.57, p)],
+    ids=["asymptotic", "ode", "commut", "commut-spectral"])
+def test_identity_checks_report_overflow_as_the_routes_do(call):
+    with pytest.raises(SinhOverflow, match="exceeds the double"):
+        call(OVERFLOWING)
 
 
 class TestSpectralGate:
@@ -510,13 +526,17 @@ def test_quadrature_runs_where_numpy_cannot_load(tmp_path):
     (("verify", "--suite", "functional"), {"closed_form"},
      {"yb_algebra", "face_model", "rmatrix", "contour"}),
     (("compute", "algebra"), {"yb_algebra", "rmatrix"},
-     {"closed_form", "face_model", "contour"}),
-], ids=["verify-dybe", "verify-functional", "compute-algebra"])
+     {"closed_form", "face_model", "contour", "verify", "sampling"}),
+    (("bench", "--lmin", "1", "--lmax", "2", "--routes", "permutation"),
+     {"closed_form", "sampling"},
+     {"verify", "yb_algebra", "face_model", "rmatrix", "contour"}),
+], ids=["verify-dybe", "verify-functional", "compute-algebra",
+        "bench-permutation"])
 def test_subcommand_loads_only_the_modules_it_runs(argv, needs, skips,
                                                    tmp_path):
     if argv[0] == "compute":
         argv = ("compute", "--config", _job_file(tmp_path, argv[1:]))
-    else:
+    elif argv[0] == "verify":
         argv += ("--draws", "2")
     loaded = _loaded_after(f"run(*{argv!r})")
     assert {f"sosdw.{m}" for m in needs} <= loaded
