@@ -21,6 +21,7 @@ from .core import (
     ModelParams,
     NumericalError,
     exp,
+    in_range,
     ordering_terms,
     pairwise_sum,
     s,
@@ -244,6 +245,7 @@ def q_factorial(qq: complex, n: int) -> complex:
     return val
 
 
+@in_range
 def asymptotic_leading_coefficient(params: ModelParams) -> complex:
     """Coefficient of the top monomial of the polynomial-normalized function.
 
@@ -319,46 +321,30 @@ def leading_coefficient_interpolated(params: ModelParams,
     return topc(())
 
 
-def ode_residual_L1(x: complex, params: ModelParams) -> float:
+@in_range
+def ode_residual_L1(lam: complex, params: ModelParams) -> float:
     """Residual of the one-row second-order differential equation.
 
-    Evaluates P0 * f + P1 * f' + P2 * f'' at the given x with f the linear
-    closed-form solution, normalized by the largest term.  The polynomial
-    coefficients are transcribed verbatim.  f divides by q^2 t^2 - 1, a
-    multiple of sinh(theta + gamma).
+    Evaluates P0 * f + P1 * f' at x = e^(2 lam), normalized by the larger
+    term.  f = Z e^lam is the permutation route's polynomial-normalized
+    value and f' its closed-form top coefficient; f is linear in x, so the
+    P2 * f'' term vanishes.  P0 and P1 are transcribed verbatim.
     """
     if params.L != 1:
         raise BadLength("the differential equation applies to one row only")
-    theta_window(params.theta, params.gamma, (1,))
+    f = partition_permutation_sum(params, (lam,)) * exp(lam)
+    f1 = asymptotic_leading_coefficient(params)
     q = exp(params.gamma)
     t = exp(params.theta)
-    # u is the exact square of ubar, so half-integer powers of u go
-    # through ubar.
-    ub = exp(params.mu[0])
-    u = ub * ub
-    c1 = (q - 1 / q) / (2.0 * (1.0 - q ** 2 * t ** 2) * ub)
-    f = c1 * (x - q ** 2 * t ** 2 * u)
-    f1 = c1
-
+    u = exp(2 * params.mu[0])
+    x = exp(2 * lam)
     p0 = ((-4 * q ** 2 + 2 * q ** 4 * t ** 2 + 2 * q ** 6 * t ** 2) * u
           + (2 * q ** 2 + 2 * q ** 4 - 4 * q ** 6 * t ** 2) * x)
     p1 = ((-4 * q ** 4 * t ** 2 + 2 * q ** 6 * t ** 4
            + 2 * q ** 8 * t ** 4) * u ** 2
           + (4 * q ** 2 - 4 * q ** 8 * t ** 4) * x * u
           + (-2 * q ** 2 - 2 * q ** 4 + 4 * q ** 6 * t ** 2) * x ** 2)
-    # p2 multiplies f'' = 0 for the linear solution; kept for the record
-    # and for the term scale.
-    p2 = ((1 + q ** 2 - 4 * q ** 4 * t ** 2 + q ** 6 * t ** 4
-           + q ** 8 * t ** 4) * x * u ** 2
-          + (-4 * q ** 2 - q ** 2 * t ** 2 + 5 * q ** 4 * t ** 2
-             + 5 * q ** 6 * t ** 2 - q ** 8 * t ** 2
-             - 4 * q ** 8 * t ** 4) * u * x ** 2
-          + (q ** 2 + q ** 4 - 4 * q ** 6 * t ** 2 + q ** 8 * t ** 4
-             + q ** 10 * t ** 4) * x ** 3)
-
-    terms = (p0 * f, p1 * f1, p2 * 0.0)
-    return scaled(abs(terms[0] + terms[1] + terms[2]),
-                  max(abs(v) for v in terms))
+    return scaled(abs(p0 * f + p1 * f1), max(abs(p0 * f), abs(p1 * f1)))
 
 
 def degree_residual(params: ModelParams, which: int,

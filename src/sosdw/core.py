@@ -12,6 +12,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import cmath
+import functools
 import importlib
 import math
 from collections import namedtuple
@@ -81,6 +82,20 @@ def exp(z: complex) -> complex:
         return cmath.exp(z)
     except OverflowError:
         raise SinhOverflow(f"exp of {z} exceeds the double range") from None
+
+
+def in_range(fn: Callable) -> Callable:
+    """``fn`` under the overflow policy of :func:`s`, for its value too."""
+    @functools.wraps(fn)
+    def checked(*args):
+        try:
+            value = fn(*args)
+        except OverflowError:
+            value = math.inf
+        if not cmath.isfinite(value):
+            raise SinhOverflow(f"{fn.__name__} exceeds the double range")
+        return value
+    return checked
 
 
 def pairwise_sum(values) -> complex:

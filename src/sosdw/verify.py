@@ -116,11 +116,9 @@ def _generic_closed_form(params) -> bool:
 
 def _cartan_floor_ok(params, floor=1e-2) -> bool:
     """A draw-region floor, not a guard: each Cartan factor of the commut
-    suite, |2 sinh(theta + (2-h)*gamma)| for h in -L..L, is >= floor."""
-    q = cmath.exp(params.gamma)
-    t = cmath.exp(params.theta)
-    return all(abs(t * q ** (2 - h) - q ** (h - 2) / t) >= floor
-               for h in range(-params.L, params.L + 1, 2))
+    suite, |2 sinh(theta + n*gamma)| for n in 2-L..2+L step 2, is >= floor."""
+    return all(abs(s(params.theta + n * params.gamma)) >= floor / 2
+               for n in range(2 - params.L, 3 + params.L, 2))
 
 
 def _qt_floor_ok(params, floor=1e-3) -> bool:
@@ -295,7 +293,7 @@ def _check_ode(rng, k):
         rng, 1, pred=lambda p: _clear(p, 0, 4) and _qt_floor_ok(p)
     )
     lam = draw_complex(rng)
-    return ("", closed_form.ode_residual_L1(cmath.exp(2 * lam), params),
+    return ("", closed_form.ode_residual_L1(lam, params),
             f"{_where(params)} mu={_cs(params.mu)} lam={_c(lam)}")
 
 

@@ -270,13 +270,6 @@ class TestResidueSum:
             zp = partition_permutation_sum(params, lams)
             assert abs(zr - zp) <= 1e-12 * max(abs(zr), abs(zp))
 
-    def test_size_cap(self):
-        params = ModelParams(gamma=0.3, theta=0.5,
-                             mu=tuple(0.11 * k for k in range(9)), L=9)
-        with pytest.raises(TooLarge):
-            partition_residue(params, tuple(0.07 * k + 0.1j
-                                            for k in range(9)))
-
 
 class TestQuadrature:
     @pytest.mark.parametrize("L", [1, 2, 3])

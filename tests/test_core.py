@@ -275,6 +275,17 @@ class TestValidate:
             validate(p, (0.4,), route)
 
     @pytest.mark.parametrize("route", ROUTES)
+    def test_route_refuses_one_past_its_cap(self, route):
+        # the cap is read from the table, so raising it edits one entry
+        cap = core.ROUTE_TABLE[route].cap
+        L = cap + 1
+        p = self.make(L=L, mu=tuple(0.05 * k for k in range(L)))
+        with pytest.raises(TooLarge, match=rf"^route {route} capped at L = "
+                                           rf"{cap} \(requested {L}\)$"):
+            core.ROUTE_TABLE[route].evaluate(
+                p, tuple(0.07 * k + 0.1j for k in range(L)), None)
+
+    @pytest.mark.parametrize("route", ROUTES)
     def test_count_judged_by_the_spectral_gate(self, route):
         with pytest.raises(BadLength,
                            match="^expected 2 spectral values, got 1$"):
@@ -352,7 +363,7 @@ WINDOWED = {
     "asymptotic": (lambda th: closed_form.asymptotic_leading_coefficient(
         _at(3, th)), (1, 2, 3)),
     "ode": (lambda th: closed_form.ode_residual_L1(
-        cmath.exp(0.4 + 0.2j), _at(1, th)), (1,)),
+        0.2 + 0.1j, _at(1, th)), (1, 2, 3)),
 }
 
 
@@ -382,20 +393,46 @@ class TestThetaWindow:
         assert cmath.isfinite(call(-(max(window) + 1) * GAMMA))
 
 
+def _ode(p):
+    return closed_form.ode_residual_L1(1.3, p)
+
+
+def _commut(p):
+    return yb_algebra.commutation_residuals(*LAMS[:2], p.theta, p)
+
+
+def _commut_spectral(p):
+    return yb_algebra.commutation_residuals(p.theta, LAMS[1], 0.57, p)
+
+
+def _row(name, call, gamma, theta, mu=(0.13,)):
+    params = ModelParams(gamma=gamma, theta=theta, mu=mu, L=len(mu))
+    return pytest.param(call, params, id=name)
+
+
+ASYMPTOTIC = closed_form.asymptotic_leading_coefficient
+
 # gamma = -1 + 0.3j keeps sinh(theta + n*gamma) in range at the windows of
-# asymptotic and ode, where e^theta overflows.
-OVERFLOWING = ModelParams(gamma=-1 + 0.3j, theta=709.9, mu=(0.13,), L=1)
+# asymptotic and ode, where e^theta overflows (theta = 709.9).  Below that a
+# power of t = e^theta overflows: t^2 at theta = 400, and ode's t^4 at 200.
+# At L=2, theta=300 asymptotic's denominator product overflows to inf.
+OVERFLOWS = [
+    _row("asymptotic", ASYMPTOTIC, -1 + 0.3j, 709.9),
+    _row("ode", _ode, -1 + 0.3j, 709.9),
+    _row("commut", _commut, -1 + 0.3j, 709.9),
+    _row("commut-spectral", _commut_spectral, -1 + 0.3j, 709.9),
+    *(_row(f"{name}-theta={theta}-gamma={g}", call, g, theta)
+      for name, call, theta in (("asymptotic", ASYMPTOTIC, 400),
+                                ("ode", _ode, 400), ("ode", _ode, 200))
+      for g in (-1 + 0.3j, GAMMA)),
+    _row("asymptotic-L=2-theta=300", ASYMPTOTIC, GAMMA, 300, mu=(0.1, 0.2)),
+]
 
 
-@pytest.mark.parametrize("call", [
-    closed_form.asymptotic_leading_coefficient,
-    lambda p: closed_form.ode_residual_L1(1.3, p),
-    lambda p: yb_algebra.commutation_residuals(*LAMS[:2], p.theta, p),
-    lambda p: yb_algebra.commutation_residuals(p.theta, LAMS[1], 0.57, p)],
-    ids=["asymptotic", "ode", "commut", "commut-spectral"])
-def test_identity_checks_report_overflow_as_the_routes_do(call):
+@pytest.mark.parametrize("call, params", OVERFLOWS)
+def test_identity_checks_report_overflow_as_the_routes_do(call, params):
     with pytest.raises(SinhOverflow, match="exceeds the double"):
-        call(OVERFLOWING)
+        call(params)
 
 
 class TestSpectralGate:

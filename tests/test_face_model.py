@@ -8,7 +8,6 @@ from sosdw import face_model, rmatrix
 from sosdw.core import (
     ROUTE_TABLE,
     ModelParams,
-    TooLarge,
     pairwise_sum,
 )
 from sosdw.closed_form import partition_permutation_sum
@@ -292,13 +291,6 @@ class TestEnumeration:
                               mu=(params.mu[1], params.mu[0]), L=2)
         zb = enumerate_partition(swapped, lams)
         assert abs(za - zb) <= 1e-12 * abs(za)
-
-    def test_size_cap(self, complex_params_l2):
-        params = ModelParams(gamma=0.31 + 0.12j, theta=0.57 - 0.08j,
-                             mu=tuple(0.05 * k for k in range(6)), L=6)
-        with pytest.raises(TooLarge):
-            enumerate_partition(params, tuple(0.1 * k + 0.2j
-                                              for k in range(6)))
 
 
 class TestHexagonIdentity:

@@ -151,12 +151,13 @@ def _scaled_pair_leg(monkeypatch):
 # layout rather than their values; zeroes stays at 1.9e-17, since every
 # permutation term vanishes at the pinned zeros; degree reads at most
 # 1.6e-13, since a rescaled term keeps the degree.  Nothing is asserted
-# about them here, nor about ode, which reads no route.
+# about them here.
 MUTATIONS = [
     pytest.param(defect, suite, id=f"{defect.__name__.strip('_')}-{suite}")
     for defect, suites in (
         (_scaled_weight, ("dybe", "unitarity", "hexagon", "commut", "cbb")),
-        (_scaled_permutation_term, ("functional", "symmetry", "asymptotic")),
+        (_scaled_permutation_term, ("functional", "symmetry", "asymptotic",
+                                    "ode")),
         (_scaled_coeff_m, ("functional", "cbb")),
         (_scaled_pair_leg, ("contour",)),
     )

@@ -10,7 +10,6 @@ from sosdw import rmatrix, yb_algebra
 from sosdw.core import (
     CoincidentSpectral,
     ModelParams,
-    TooLarge,
     close_pair,
     s,
 )
@@ -173,13 +172,6 @@ class TestAlgebraicPartition:
             za = partition_algebraic(params, lams)
             zc = partition_L1(params, lams[0])
             assert abs(za - zc) <= 1e-13 * abs(zc)
-
-    def test_size_cap(self):
-        params = ModelParams(gamma=0.3, theta=0.5,
-                             mu=tuple(0.05 * k for k in range(11)), L=11)
-        with pytest.raises(TooLarge):
-            partition_algebraic(params, tuple(0.03 * k + 0.1j
-                                              for k in range(11)))
 
 
 # float.hex of (re, im) of partition_algebraic on the draw
