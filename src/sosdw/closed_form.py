@@ -397,7 +397,6 @@ def swap_residual(params: ModelParams, lambdas, i: int, j: int,
     rows[i], rows[j] = rows[j], rows[i]
     mu = list(params.mu)
     mu[i], mu[j] = mu[j], mu[i]
-    columns = ModelParams(gamma=params.gamma, theta=params.theta,
-                          mu=tuple(mu), L=L)
+    columns = params._replace(mu=tuple(mu))
     return max(abs(ev(tuple(rows)) - base),
                abs(_evaluator(columns, route)(lam) - base)) / abs(base)

@@ -15,7 +15,6 @@ the unit tests.
 
 from __future__ import annotations
 
-import cmath
 import random
 from collections import namedtuple
 from itertools import accumulate
@@ -79,14 +78,16 @@ def _where_lams(params, lams) -> str:
     return f"{_where(params)} mu={_cs(params.mu)} lambdas={_cs(lams)}"
 
 
-def _theta_window_ok(params, lo, hi, floor=1e-3) -> bool:
+def _floor_ok(params, offsets, floor=1e-3) -> bool:
+    """Draw floor: |sinh(theta + n*gamma)| > floor for every n in offsets."""
     return all(abs(s(params.theta + n * params.gamma)) > floor
-               for n in range(lo, hi + 1))
+               for n in offsets)
 
 
 def _clear(params, lo, hi) -> bool:
     """gamma and every theta + n*gamma, n in lo..hi, clear of sinh zeros."""
-    return abs(s(params.gamma)) > 1e-3 and _theta_window_ok(params, lo, hi)
+    return (abs(s(params.gamma)) > 1e-3
+            and _floor_ok(params, range(lo, hi + 1)))
 
 
 def _draw_params(rng, L, pred):
@@ -112,22 +113,6 @@ def _generic_closed_form(params) -> bool:
     """Draw region of the closed-form suites: clear of every denominator."""
     return (_clear(params, 0, 2 * params.L + 2)
             and close_pair(params.mu, 1e-3) is None)
-
-
-def _cartan_floor_ok(params, floor=1e-2) -> bool:
-    """A draw-region floor, not a guard: each Cartan factor of the commut
-    suite, |2 sinh(theta + n*gamma)| for n in 2-L..2+L step 2, is >= floor."""
-    return all(abs(s(params.theta + n * params.gamma)) >= floor / 2
-               for n in range(2 - params.L, 3 + params.L, 2))
-
-
-def _qt_floor_ok(params, floor=1e-3) -> bool:
-    """A draw-region floor, not a guard: |q^(2n) t^2 - 1|, which is
-    |2 e^(theta + n*gamma) sinh(theta + n*gamma)|, is >= floor for n = 1..L."""
-    q = cmath.exp(params.gamma)
-    t = cmath.exp(params.theta)
-    return all(abs(1 - q ** (2 * n) * t ** 2) >= floor
-               for n in range(1, params.L + 1))
 
 
 # Each check draws the k-th (0-based) parameter set of a suite run and
@@ -185,9 +170,11 @@ def _check_commut(rng, k):
     from . import yb_algebra
 
     L = 2 + (k % 2)
+    # The last floor keeps each Cartan factor 2 sinh(theta + n*gamma) >= 1e-2.
     params = _draw_params(
         rng, L,
-        pred=lambda p: _clear(p, -p.L - 2, 2 * p.L + 3) and _cartan_floor_ok(p),
+        pred=lambda p: (_clear(p, -p.L - 2, 2 * p.L + 3)
+                        and _floor_ok(p, range(2 - p.L, 3 + p.L, 2), 5e-3)),
     )
     l1, l2 = _draw_separated(rng, 2, 1e-2)
     resmap = yb_algebra.commutation_residuals(l1, l2, params.theta, params)
@@ -213,7 +200,7 @@ def _check_nilpotency(rng, k):
 
     L = 1 + (k % 3)
     params = _draw_params(
-        rng, L, pred=lambda p: _theta_window_ok(p, -p.L - 1, 2 * p.L + 2, 1e-6)
+        rng, L, pred=lambda p: _floor_ok(p, range(-p.L - 1, 2 * p.L + 3), 1e-6)
     )
     lams = draw_spectral(rng, L + 1)
     return (f" L={L}", yb_algebra.nilpotency_norm(params, lams),
@@ -277,9 +264,7 @@ def _check_asymptotic(rng, k):
     from . import closed_form
 
     L = 1 + (k % 3)
-    params = _draw_params(
-        rng, L, pred=lambda p: _generic_closed_form(p) and _qt_floor_ok(p)
-    )
+    params = _draw_params(rng, L, pred=_generic_closed_form)
     expect = closed_form.asymptotic_leading_coefficient(params)
     got = closed_form.leading_coefficient_interpolated(params)
     return (f" L={L}", abs(got - expect) / abs(expect),
@@ -289,9 +274,7 @@ def _check_asymptotic(rng, k):
 def _check_ode(rng, k):
     from . import closed_form
 
-    params = _draw_params(
-        rng, 1, pred=lambda p: _clear(p, 0, 4) and _qt_floor_ok(p)
-    )
+    params = _draw_params(rng, 1, pred=lambda p: _clear(p, 0, 4))
     lam = draw_complex(rng)
     return ("", closed_form.ode_residual_L1(lam, params),
             f"{_where(params)} mu={_cs(params.mu)} lam={_c(lam)}")

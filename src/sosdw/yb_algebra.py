@@ -312,7 +312,5 @@ def nilpotency_norm(params: ModelParams, lambdas) -> float:
     factors = [_sites(z, params.theta + j * params.gamma, params)
                for j, z in enumerate(lams)]
     v = _string(factors, L)
-    scale = math.prod(max_abs(_dense("B", sites)) for sites in factors)
-    if scale == 0.0:
-        return _norm(v)
-    return _norm(v) / scale
+    return scaled(_norm(v),
+                  math.prod(max_abs(_dense("B", sites)) for sites in factors))

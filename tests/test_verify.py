@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import cmath
 import re
+from itertools import product
 
 import pytest
 
-from sosdw import closed_form, contour, rmatrix
+from sosdw import closed_form, contour, rmatrix, verify
+from sosdw.core import ModelParams
 from sosdw.verify import SUITE_NAMES, SUITES, CheckRow, run_suite
 
 
@@ -103,6 +106,40 @@ def test_different_seeds_draw_different_points():
     a = run_suite("dybe", seed=0, draws=2)
     b = run_suite("dybe", seed=1, draws=2)
     assert [r.residual for r in a.rows] != [r.residual for r in b.rows]
+
+
+def _near_qt_zeros():
+    """Parameter sets with theta + n*gamma placed eps from a zero of sinh,
+    theta = -n*gamma + eps*e^(i*phi) + i*pi*k, for L = 1..3 and n = 1..L.
+    The sets with eps below 1e-3 sit inside the suites' draw floor."""
+    mus = (0.13 - 0.21j, -0.22 + 0.15j, 0.41 + 0.05j)
+    for L, gamma, eps, phi, k in product(
+            (1, 2, 3), (0.31 + 0.12j, -0.27 + 0.41j, 0.05 - 0.6j),
+            (1e-4, 3e-4, 7e-4, 1.5e-3, 3e-3), (0.0, 0.9, 2.2, 3.7, 5.1),
+            (0, 1)):
+        for n in range(1, L + 1):
+            theta = -n * gamma + eps * cmath.exp(1j * phi) + 1j * cmath.pi * k
+            yield ModelParams(gamma=gamma, theta=theta, mu=mus[:L], L=L)
+
+
+def test_sinh_floor_bounds_the_qt_denominators():
+    """asymptotic and ode divide by 1 - q^(2n) t^2, n = 1..L, which is
+    -2 e^(theta + n*gamma) sinh(theta + n*gamma).  The sinh floor their draws
+    apply keeps it at least 1e-3 in modulus: with x = Re(theta + n*gamma),
+    |1 - e^(2(theta + n*gamma))| >= max(2 e^x 1e-3, |e^(2x) - 1|) > 1.99e-3."""
+    def qt_floor(p):
+        return min(abs(1 - cmath.exp(2 * (p.theta + n * p.gamma)))
+                   for n in range(1, p.L + 1))
+
+    accepted = {"asymptotic": 0, "ode": 0}
+    for p in _near_qt_zeros():
+        if verify._generic_closed_form(p):
+            accepted["asymptotic"] += 1
+            assert qt_floor(p) >= 1e-3, p
+        if p.L == 1 and verify._clear(p, 0, 4):
+            accepted["ode"] += 1
+            assert qt_floor(p) >= 1e-3, p
+    assert all(accepted.values()), accepted
 
 
 def _scaled_weight(monkeypatch):
