@@ -151,11 +151,11 @@ def _permutation_terms(params: ModelParams, lambdas) -> list:
     L = params.L
     lams = validate(params, lambdas, "permutation")
     g = params.gamma
-    th = params.theta
     mu = params.mu
+    den = [s(params.theta + (p + 1) * g) for p in range(L)]
 
     def site(p, lam):
-        v = s(th + (p + 1) * g - lam + mu[p]) / s(th + (p + 1) * g)
+        v = s(params.theta + (p + 1) * g - lam + mu[p]) / den[p]
         for j in range(p + 1, L):
             v *= s(lam - mu[j] + g)
         for j in range(p):
@@ -254,8 +254,12 @@ def asymptotic_leading_coefficient(params: ModelParams) -> complex:
     It divides by q^(2n) t^2 - 1 = 2 e^(theta + n gamma) sinh(theta +
     n gamma) for n = 1..L, so ``theta_window`` judges those offsets.
     """
+    theta_window(params.theta, params.gamma, range(1, params.L + 1))
+    return _leading_coefficient(params)
+
+
+def _leading_coefficient(params: ModelParams) -> complex:
     L = params.L
-    theta_window(params.theta, params.gamma, range(1, L + 1))
     q = exp(params.gamma)
     t = exp(params.theta)
     ubar = [exp(m) for m in params.mu]
@@ -325,15 +329,15 @@ def leading_coefficient_interpolated(params: ModelParams,
 def ode_residual_L1(lam: complex, params: ModelParams) -> float:
     """Residual of the one-row second-order differential equation.
 
-    Evaluates P0 * f + P1 * f' at x = e^(2 lam), normalized by the larger
-    term.  f = Z e^lam is the permutation route's polynomial-normalized
-    value and f' its closed-form top coefficient; f is linear in x, so the
-    P2 * f'' term vanishes.  P0 and P1 are transcribed verbatim.
+    Evaluates P0 * f + P1 * f' at x = e^(2 lam), over the larger term.
+    f = Z e^lam is the permutation route's polynomial-normalized value;
+    f' is its closed-form top coefficient, whose window that route's gate
+    judged.  f is linear in x, so P2 * f'' vanishes.  P0 and P1 are verbatim.
     """
     if params.L != 1:
         raise BadLength("the differential equation applies to one row only")
     f = partition_permutation_sum(params, (lam,)) * exp(lam)
-    f1 = asymptotic_leading_coefficient(params)
+    f1 = _leading_coefficient(params)
     q = exp(params.gamma)
     t = exp(params.theta)
     u = exp(2 * params.mu[0])

@@ -12,6 +12,8 @@ height step above the top-left face of the quartet.
 
 from __future__ import annotations
 
+import functools
+
 from .core import (
     ModelParams,
     ValidationError,
@@ -68,24 +70,28 @@ def face_weight(k_bl: int, k_br: int, k_tl: int, k_tr: int,
 
 
 def enumerate_height_grids(L: int):
-    """Yield every complete height assignment compatible with the boundary.
+    """An iterator over every complete height assignment of the boundary.
 
     A grid is a tuple of L+1 rows of L+1 int offsets, bottom row first.
     The domain-wall boundary steps down from L to 0 along the bottom row
     and the left column, away from the bottom-left corner, and up from 0
-    to L along the top row and the right column.  Depth-first over the
-    interior faces in row-major order, bottom row first, pruning any
-    partial assignment that already breaks the unit-step rule against an
-    assigned neighbour.
+    to L along the top row and the right column.  The grids of one L are
+    walked once, depth-first over the interior faces in row-major order.
     """
+    return iter(_height_grids(L))
+
+
+@functools.cache
+def _height_grids(L: int) -> tuple:
     # Interior entries are placeholders, each written before it is read.
     grid = [[L - r] + [0] * (L - 1) + [r] for r in range(L + 1)]
     grid[0], grid[L] = list(range(L, -1, -1)), list(range(L + 1))
     cells = [(r, c) for r in range(1, L) for c in range(1, L)]
+    rows = {}  # equal rows of different grids are one tuple
 
     def rec(idx):
         if idx == len(cells):
-            yield tuple(map(tuple, grid))
+            yield tuple(rows.setdefault(t, t) for t in map(tuple, grid))
             return
         r, c = cells[idx]
         left, below = grid[r][c - 1], grid[r - 1][c]
@@ -95,15 +101,15 @@ def enumerate_height_grids(L: int):
                 grid[r][c] = k
                 yield from rec(idx + 1)
 
-    yield from rec(0)
+    return tuple(rec(0))
 
 
 def enumerate_partition(params: ModelParams, lambdas) -> complex:
     """Partition function by summing the weight of every configuration.
 
-    Weight products run over vertices in row-major order, and the sum over
-    configurations is a balanced pairwise sum.  Each vertex's tables are
-    built once for the whole sum.
+    Sums over :func:`enumerate_height_grids`, with weight products over
+    vertices in row-major order and one balanced pairwise sum over
+    configurations.  Each vertex's tables are built once for the whole sum.
     """
     L = params.L
     lams = validate(params, lambdas, "face")

@@ -55,12 +55,33 @@ def fresh_face_weight(k_bl, k_br, k_tl, k_tr, lam, params):
     return weights(lam, th_loc, params)[entry]
 
 
+def fresh_height_grids(L):
+    """Oracle: every grid, built row by row without the module's walk or its
+    cache, in the order of a depth-first walk over the interior faces in
+    row-major order that tries the lower offset first."""
+    def rows(lower, r):
+        # rows from L - r to r, each offset one step from its left and
+        # lower neighbours, in lexicographic order
+        partial = [(L - r,)]
+        for c in range(1, L + 1):
+            partial = [p + (k,) for p in partial
+                       for k in (p[-1] - 1, p[-1] + 1)
+                       if abs(k - lower[c]) == 1]
+        return [p for p in partial if p[-1] == r]
+
+    grids = [(tuple(range(L, -1, -1)),)]
+    for r in range(1, L + 1):
+        grids = [g + (row,) for g in grids for row in rows(g[-1], r)]
+    return [g for g in grids if g[-1] == tuple(range(L + 1))]
+
+
 def fresh_enumerate_partition(params, lams):
-    """Oracle: the face sum with a fresh weight table at every vertex read,
-    products in row-major order and one pairwise sum over configurations."""
+    """Oracle: the face sum over freshly walked grids with a fresh weight
+    table at every vertex read, products in row-major order and one
+    pairwise sum over configurations."""
     L = params.L
     terms = []
-    for grid in enumerate_height_grids(L):
+    for grid in fresh_height_grids(L):
         w = 1.0 + 0j
         for r, (lower, upper) in enumerate(zip(grid, grid[1:])):
             for c in range(L):
@@ -184,8 +205,10 @@ class TestWeightTables:
     """Each evaluation builds a vertex's table once per top-left offset and
     reads the same numbers, in the same order, as a fresh table per read."""
 
-    @pytest.mark.parametrize("L", [1, 2, 3, 4])
+    @pytest.mark.parametrize("L", [1, 2, 3, 4, 5])
     def test_partition_bit_identical_to_fresh_tables(self, rng, L):
+        # the grids of this L are already walked, for another parameter set
+        enumerate_partition(*draw_model(rng, L, routes=("face",)))
         for _ in range(3):
             params, lams = draw_model(rng, L, routes=("face",))
             assert enumerate_partition(params, lams) \
@@ -255,6 +278,19 @@ class TestEnumeration:
     def test_configuration_counts(self, L, count):
         assert count_configurations(L) == count
         assert ROUTE_TABLE["face"].workload(L, None) == count
+        # a second call reads the same grids as the first and as a walk
+        # that shares nothing with the module's
+        first = enumerate_height_grids(L)
+        grids = [next(first), *first]
+        assert list(enumerate_height_grids(L)) == grids \
+            == fresh_height_grids(L)
+        # immutable all the way down, since every caller shares them
+        assert all(type(grid) is tuple and type(row) is tuple
+                   and type(k) is int
+                   for grid in grids for row in grid for k in row)
+        # equal rows of different grids are one object
+        rows = [row for grid in grids for row in grid]
+        assert len({id(row) for row in rows}) == len(set(rows))
 
     def test_grids_are_complete_and_valid(self):
         grids = list(enumerate_height_grids(3))
