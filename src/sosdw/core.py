@@ -15,6 +15,7 @@ import cmath
 import functools
 import importlib
 import math
+import operator
 from collections import namedtuple
 from collections.abc import Callable
 
@@ -101,14 +102,17 @@ def in_range(fn: Callable) -> Callable:
 def pairwise_sum(values) -> complex:
     """Sum a sequence in a fixed balanced-tree association order.
 
-    The order is a function of the sequence alone, which keeps repeated runs
-    bit-identical and limits roundoff growth to O(log n).
+    Each level adds neighbours, v0 + v1, v2 + v3, ..., in one map over one
+    iterator and carries an odd last value up.  The order is a function of
+    the sequence alone: repeated runs are bit-identical and roundoff grows
+    as O(log n).
     """
     vals = list(values)
     if not vals:
         return 0j
     while len(vals) > 1:
-        merged = [a + b for a, b in zip(vals[0::2], vals[1::2])]
+        pairs = iter(vals)
+        merged = list(map(operator.add, pairs, pairs))
         if len(vals) % 2:
             merged.append(vals[-1])
         vals = merged
@@ -126,9 +130,9 @@ def ordering_terms(site, pair) -> list:
     product of S extends that of S minus its lowest element by one
     multiplication (so the pair factors enter highest x first), and the site
     factor multiplies it last.  The walk shares each prefix product among
-    the orderings that begin with it, so a term costs about one
-    multiplication.  Both L! routes sum these terms, each over its own
-    factor tables.
+    the orderings that begin with it; from L = 4 on it stops four steps
+    short, where per-set tail tables give the last four.  Both L! routes sum
+    these terms, each over its own factor tables.
     """
     L = len(site)
     # steps[S]: (S | 1 << e, step[S][e]) for each e not in S, e increasing
@@ -146,18 +150,29 @@ def ordering_terms(site, pair) -> list:
                 step.append((S | 1 << e, row[e] * v))
         steps.append(step)
     level = [(0, 1.0 + 0j)]
-    for _ in range(L - 4 if L > 4 else L):
+    for _ in range(L - 4 if L >= 4 else L):
         level = [(T, v * t) for S, v in level for T, t in steps[S]]
-    if L <= 4:
+    if L < 4:
         return [v for _, v in level]
-    # The last four steps, fused, so that no list of more than L!/24
-    # prefixes is held beside the terms.
-    return [vtuw * y
-            for S, v in level
-            for T, t in steps[S] for vt in (v * t,)
-            for U, u in steps[T] for vtu in (vt * u,)
-            for W, w in steps[U] for vtuw in (vtu * w,)
-            for _, y in steps[W]]
+    # tail[S], S with two elements left: its completions (a, b), (c, d) flat;
+    # with three: (u, *tail[U]) for each of its steps (U, u), flat
+    tail = [None] * (1 << L)
+    for S in range((1 << L) - 1, -1, -1):  # supersets first
+        if (n := L - S.bit_count()) == 2:
+            (W, a), (X, c) = steps[S]
+            tail[S] = (a, steps[W][0][1], c, steps[X][0][1])
+        elif n == 3:
+            (U, u), (V, v), (W, w) = steps[S]
+            tail[S] = (u, *tail[U], v, *tail[V], w, *tail[W])
+    out = []
+    for S, p in level:
+        for T, t in steps[S]:
+            u, a, b, c, d, u2, a2, b2, c2, d2, u3, a3, b3, c3, d3 = tail[T]
+            x = p * t
+            y, y2, y3 = x * u, x * u2, x * u3
+            out.extend(((y * a) * b, (y * c) * d, (y2 * a2) * b2,
+                        (y2 * c2) * d2, (y3 * a3) * b3, (y3 * c3) * d3))
+    return out
 
 
 def _need_finite(value: complex, what: str) -> None:

@@ -87,6 +87,34 @@ class TestOrderingTerms:
         for g, w in zip(got, want):
             assert abs(g - w) <= 1e-14 * abs(w)
 
+    @staticmethod
+    def prefix_walk(site, pair):
+        terms = []
+        for order in itertools.permutations(range(len(site))):
+            v = 1.0 + 0j
+            for p, e in enumerate(order):
+                # the step of e after order[:p]: its pair factors, the
+                # highest placed element first, then its site factor
+                step = site[p][e]
+                if p:
+                    f = 1.0 + 0j
+                    for x in sorted(order[:p], reverse=True):
+                        f = f * pair[e][x]
+                    step = step * f
+                v = v * step
+            terms.append(v)
+        return terms
+
+    @pytest.mark.parametrize("L", range(1, 9))
+    def test_bit_identical_to_prefix_walk(self, L):
+        # the L = 8 crosscheck verdicts sit near the 1e-9 agreement gate, so
+        # the kernel keeps each term's left-to-right prefix product exactly
+        rng = random.Random(4150 + L)
+        draw = lambda: complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        site = [[draw() for _ in range(L)] for _ in range(L)]
+        pair = [[draw() for _ in range(L)] for _ in range(L)]
+        assert ordering_terms(site, pair) == self.prefix_walk(site, pair)
+
     @pytest.mark.parametrize("L", [6, 8])
     @pytest.mark.parametrize("module, route", [
         (closed_form, "partition_permutation_sum"),
@@ -127,6 +155,30 @@ class TestPairwiseSum:
     def test_deterministic_association(self):
         vals = [complex(1e16), 1.0 + 0j, complex(-1e16), 1.0 + 0j]
         assert pairwise_sum(vals) == pairwise_sum(list(vals))
+
+    @staticmethod
+    def tree_sum(vals):
+        # the documented tree: neighbours paired left to right, an odd last
+        # value carried up to the next level
+        if not vals:
+            return 0j
+        if len(vals) == 1:
+            return vals[0]
+        merged = [vals[i] + vals[i + 1] for i in range(0, len(vals) - 1, 2)]
+        return TestPairwiseSum.tree_sum(merged + vals[len(merged) * 2:])
+
+    def test_bit_identical_to_tree(self):
+        rng = random.Random(4190)
+        big = (1e16, -1e16, 1.0, -1.0, 3.0)
+        draw = lambda: complex(rng.choice(big), rng.choice(big))
+        moved = 0
+        for n in [*range(71), 40320]:
+            vals = [draw() for _ in range(n)]
+            want = self.tree_sum(vals)
+            assert pairwise_sum(vals) == want
+            moved += want != sum(vals, 0j)
+        # the values are ones on which association changes the sum
+        assert moved > 20
 
 
 class TestModelParams:
