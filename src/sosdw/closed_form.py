@@ -273,8 +273,8 @@ def _leading_coefficient(params: ModelParams) -> complex:
 # discrete Cauchy sum returns c_d R^d to within rounding of the largest
 # sample, so a large R, where the top coefficient dominates the samples,
 # reads it to rounding.  Worst `asymptotic` suite error over 320 rows
-# (seeds 0-15, 20 draws): 1.0e-6 at R=1, 3.7e-13 at R=20, 1.1e-14 at
-# R=100, 4.4e-15 at R=400.
+# (seeds 0-15, 20 draws): 9.9e-8 at R=1, 5.1e-13 at R=20, 6.9e-15 at
+# R=100, 7.6e-15 at R=400.
 CIRCLE_RADIUS = 400.0
 
 
@@ -301,28 +301,25 @@ def _cauchy_coefficient(samples, nodes, d: int) -> complex:
 
 def leading_coefficient_interpolated(params: ModelParams,
                                      route: str = "permutation") -> complex:
-    """Top-monomial coefficient extracted by nested Cauchy sums.
+    """Top-monomial coefficient read by one Cauchy sum along a line.
 
-    Samples the polynomial-normalized function on a tensor grid of L+1
-    points per variable on the circle |x| = R, and takes the degree-L
-    coefficient in each variable in turn.  Variable v's points are turned
-    by 2 pi (v + 1/2) / (L+1)^2, so no two variables' points coincide.
-    Serves as an independent oracle for
+    Samples the polynomial-normalized function p at x_v = w_v t, w_v =
+    e^(2 pi i v / L), for L^2+1 points t on the circle |t| = R.  Each x_v
+    has degree at most L, so p(w_0 t, ..., w_(L-1) t) has degree at most
+    L^2; only the top monomial reaches t^(L^2), and its factor is
+    prod_v w_v^L = 1, so the sum reads that coefficient exactly.  The
+    lambdas of a sample differ by i pi k / L, 0 < k < L, so |sinh| of a gap
+    is >= sin(pi / L).  Serves as an independent oracle for
     :func:`asymptotic_leading_coefficient`.
     """
     L = params.L
     ev = _evaluator(params, route)
-    lam_nodes = [_circle_nodes(L + 1, 2 * math.pi * (v + 0.5) / (L + 1) ** 2)
-                 for v in range(L)]
-
-    def topc(prefix):
-        v = len(prefix)
-        if v == L:
-            return ev(prefix) * cmath.exp(L * sum(prefix))
-        vals = [topc(prefix + (z,)) for z in lam_nodes[v]]
-        return _cauchy_coefficient(vals, lam_nodes[v], L)
-
-    return topc(())
+    nodes = _circle_nodes(L * L + 1)
+    samples = []
+    for z in nodes:
+        lams = tuple(z + 1j * math.pi * v / L for v in range(L))
+        samples.append(ev(lams) * cmath.exp(L * sum(lams)))
+    return _cauchy_coefficient(samples, nodes, L * L)
 
 
 @in_range

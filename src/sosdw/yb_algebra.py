@@ -48,10 +48,18 @@ def _propagate(which: str, sites: list, vec) -> list:
     """
     if which not in _AUX:
         raise ValueError("monodromy entry must be one of A, B, C, D")
-    L = len(sites)
     aux_out, aux_in = _AUX[which]
-    amps = {(aux_in, b): complex(vec[b])
-            for b in range(1 << L) if vec[b] != 0}
+    return _push(sites, {(aux_in, b): complex(vec[b])
+                         for b in range(1 << len(sites))
+                         if vec[b] != 0})[aux_out]
+
+
+def _push(sites: list, amps: dict) -> tuple:
+    """Push amplitudes keyed (aux, basis state) through the chain factors.
+
+    Returns the two output vectors, auxiliary output 0 and then 1.
+    """
+    L = len(sites)
     for shift, tables in enumerate(reversed(sites)):
         new = {}
         for (a, b), amp in amps.items():
@@ -64,10 +72,9 @@ def _propagate(which: str, sites: list, vec) -> list:
                 prev = new.get(key)
                 new[key] = amp * val if prev is None else prev + amp * val
         amps = new
-    out = [0j] * (1 << L)
+    out = ([0j] * (1 << L), [0j] * (1 << L))
     for (a, b), amp in amps.items():
-        if a == aux_out:
-            out[b] += amp
+        out[a][b] += amp
     return out
 
 
@@ -83,19 +90,16 @@ def apply_monodromy_entry(which: str, lam: complex, theta: complex,
     return _propagate(which, _sites(lam, theta, params), vec)
 
 
-def _dense(which: str, sites: list) -> list:
-    """One monodromy entry as a dense matrix, one basis column at a time.
+def _dense(aux_in: int, sites: list) -> tuple:
+    """The two entries with auxiliary input ``aux_in`` as dense matrices.
 
-    ``sites`` holds the site ``WeightTables`` as for ``_propagate``; every
-    column reads the same tables.  The result is a list of the 2^L columns.
+    Input 0 gives (A, C) and input 1 gives (B, D): each basis column is
+    pushed once through the site tables ``sites``, as for ``_propagate``,
+    and read at both auxiliary outputs.  A matrix is a list of its columns.
     """
-    dim = 1 << len(sites)
-    cols = []
-    for b in range(dim):
-        e = [0j] * dim
-        e[b] = 1 + 0j
-        cols.append(_propagate(which, sites, e))
-    return cols
+    cols = [_push(sites, {(aux_in, b): 1 + 0j})
+            for b in range(1 << len(sites))]
+    return [c[0] for c in cols], [c[1] for c in cols]
 
 
 def _sites(lam: complex, theta: complex, params: ModelParams) -> list:
@@ -106,7 +110,10 @@ def _sites(lam: complex, theta: complex, params: ModelParams) -> list:
 def monodromy_entry(which: str, lam: complex, theta: complex,
                     params: ModelParams) -> list:
     """One of the four row-operator entries as a dense 2^L x 2^L matrix."""
-    return _dense(which, _sites(lam, theta, params))
+    if which not in _AUX:
+        raise ValueError("monodromy entry must be one of A, B, C, D")
+    aux_out, aux_in = _AUX[which]
+    return _dense(aux_in, _sites(lam, theta, params))[aux_out]
 
 
 def vacuum_states(L: int):
@@ -189,16 +196,21 @@ def commutation_residuals(l1: complex, l2: complex, theta: complex,
     t = exp(theta)
     kvec = [q ** h for h in cartan_h(params.L)]
 
-    # The relations reuse entries: 15 distinct matrices among 24 uses, and
-    # the entries at one (lam, theta) share their site tables.  Every use
-    # reads its matrix without writing to it.
+    # The relations reuse entries: 15 distinct matrices among 24 uses, from
+    # one basis push per (auxiliary input, lam, theta), 10 in all; the
+    # entries at one (lam, theta) share their site tables.  Every use reads
+    # its matrix without writing to it.
     @functools.cache
     def sites(lam, th):
         return _sites(lam, th, params)
 
     @functools.cache
+    def pair(aux_in, lam, th):
+        return _dense(aux_in, sites(lam, th))
+
     def mat(which, lam, th):
-        return _dense(which, sites(lam, th))
+        aux_out, aux_in = _AUX[which]
+        return pair(aux_in, lam, th)[aux_out]
 
     def times_diag(m, w):
         """m @ diag(w): column j of m times w[j]."""
@@ -301,9 +313,9 @@ def nilpotency_norm(params: ModelParams, lambdas) -> float:
 
     A string of L+1 creation factors annihilates the all-up state; the
     returned value is the 2-norm of the result divided by the product of the
-    factors' max-abs matrix norms, and should vanish to rounding.  Each
-    factor's site tables serve both its step of the string and its dense
-    matrix.
+    factors' max-abs matrix norms (B: auxiliary input 1, output 0), and
+    should vanish to rounding.  Each factor's site tables serve both its
+    step of the string and its dense matrix.
     """
     L = params.L
     lams = spectral(lambdas, L + 1)
@@ -313,4 +325,4 @@ def nilpotency_norm(params: ModelParams, lambdas) -> float:
                for j, z in enumerate(lams)]
     v = _string(factors, L)
     return scaled(_norm(v),
-                  math.prod(max_abs(_dense("B", sites)) for sites in factors))
+                  math.prod(max_abs(_dense(1, sites)[0]) for sites in factors))

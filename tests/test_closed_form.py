@@ -300,18 +300,44 @@ class TestLeadingCoefficient:
             got = leading_coefficient_interpolated(params)
             assert abs(got - want) <= 1e-8 * abs(want)
 
-    @pytest.mark.parametrize("L", [1, 2, 3])
+    @pytest.mark.parametrize("L", [1, 2, 3, 4])
     def test_interpolation_reads_known_top_coefficient(self, rng, monkeypatch,
                                                        L):
-        params, _ = draw_model(rng, L)
-        coeffs = [[complex(1 + d, v - d) for d in range(L + 1)]
-                  for v in range(L)]
+        # every one of the (L+1)^L coefficients random: not a product of
+        # one-variable polynomials, so every monomial reaches the line
+        params = ModelParams(gamma=0.31 + 0.12j, theta=0.57 - 0.08j,
+                             mu=tuple(0.1 * v for v in range(L)), L=L)
+        coeffs = {alpha: complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                  for alpha in itertools.product(range(L + 1), repeat=L)}
         monkeypatch.setattr(closed_form, "_evaluator", polynomial_route(
-            lambda xs: math.prod(sum(c * x ** d for d, c in enumerate(cv))
-                                 for cv, x in zip(coeffs, xs))))
-        want = math.prod(cv[L] for cv in coeffs)
+            lambda xs: sum(c * math.prod(x ** d for x, d in zip(xs, alpha))
+                           for alpha, c in coeffs.items())))
+        want = coeffs[(L,) * L]
         got = leading_coefficient_interpolated(params)
         assert abs(got - want) <= 1e-13 * abs(want)
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 4])
+    def test_line_samples(self, rng, monkeypatch, L):
+        # L^2+1 route evaluations per call, and within each sample every
+        # pair of lambdas is at least sin(pi/L) apart in |sinh|
+        params, _ = draw_model(rng, L)
+        samples = []
+        real = closed_form._evaluator
+
+        def counted(params, route):
+            ev = real(params, route)
+            return lambda lams: samples.append(lams) or ev(lams)
+
+        monkeypatch.setattr(closed_form, "_evaluator", counted)
+        for _ in range(2):
+            samples.clear()
+            leading_coefficient_interpolated(params)
+            assert len(samples) == L * L + 1
+            for lams in samples:
+                assert len(lams) == L
+                for a, b in itertools.combinations(lams, 2):
+                    assert abs(cmath.sinh(a - b)) >= (math.sin(math.pi / L)
+                                                      - 1e-12)
 
 
 class TestDifferentialEquation:

@@ -58,8 +58,10 @@ def test_nonpositive_draws_rejected():
 
 # zeroes at seed 203002 draws |sinh gamma| = 0.0097, below the separation
 # floor of the pinned pair mu_1, mu_1 - gamma; the draw must reject it.
-# asymptotic at seeds 3001 and 603021 each draw an L=3 row whose top
-# coefficient, read by divided differences on real nodes, is off by 1e-7.
+# asymptotic at seeds 3001 and 603021 each draw L=3 rows that an earlier
+# reading of the top coefficient, by divided differences on real nodes, got
+# wrong by 1e-7.  The Cauchy sum along the line x_v = w_v t reads every row
+# of both runs to 6.5e-15; the runs keep an ill-conditioned reading out.
 SMOKE_RUNS = [pytest.param(name, 7, 3, id=name) for name in EXPECTED_SUITES]
 SMOKE_RUNS += [
     pytest.param("zeroes", 203002, 20, id="zeroes-203002"),

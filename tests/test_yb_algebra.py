@@ -307,20 +307,21 @@ class TestExchangeRelations:
             commutation_residuals(0.4, 0.4, 0.57 - 0.08j, P2)
 
     def test_each_distinct_entry_is_built_once(self, monkeypatch):
-        # 24 matrix uses, 15 distinct (entry, lambda, theta), and one set of
+        # 24 matrix uses of 15 distinct (entry, lambda, theta), from 10 basis
+        # pushes, one per (auxiliary input, lambda, theta), and one set of
         # site tables for each of the 8 distinct (lambda, theta); the caches
         # leave every residual bit-identical
         calls = []
         build = yb_algebra._dense
 
-        def counted(which, sites):
-            calls.append((which, id(sites)))
-            return build(which, sites)
+        def counted(aux_in, sites):
+            calls.append((aux_in, id(sites)))
+            return build(aux_in, sites)
 
         monkeypatch.setattr(yb_algebra, "_dense", counted)
         args = (0.21 - 0.13j, -0.34 + 0.08j, 0.57 - 0.08j, P2)
         cached = commutation_residuals(*args)
-        assert len(calls) == len(set(calls)) == 15
+        assert len(calls) == len(set(calls)) == 10
         assert len({sites for _, sites in calls}) == 8
         calls.clear()
         monkeypatch.setattr(yb_algebra.functools, "cache", lambda f: f)
