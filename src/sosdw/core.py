@@ -39,10 +39,6 @@ class CoincidentSpectral(ValidationError):
     """Two spectral parameters coincide on a route that divides by their gap."""
 
 
-class CoincidentInhomogeneity(ValidationError):
-    """Two column inhomogeneities coincide beyond what the formulas allow."""
-
-
 class BadLength(ValidationError):
     """A parameter vector has the wrong number of entries."""
 
@@ -245,7 +241,7 @@ class Route(namedtuple("Route", "evaluate workload cap window separated",
     ``workload(L, detail)`` the number of terms, states or nodes summed.
     ``cap`` is the largest accepted L.  ``window(L)`` holds the offsets n
     whose denominators sinh(theta + n*gamma) the route divides by;
-    ``separated`` routes also divide by spectral and inhomogeneity gaps.
+    ``separated`` routes also divide by spectral gaps.
     """
 
     __slots__ = ()
@@ -344,15 +340,9 @@ def validate(params: ModelParams, lambdas, route: str) -> tuple:
     for i, z in enumerate(lams):
         _need_finite(z, f"lambda[{i}]")
     theta_window(params.theta, params.gamma, spec.window(params.L))
-    if spec.separated:
-        if (pair := close_pair(lams, EPS_SEP)) is not None:
-            raise CoincidentSpectral(
-                f"spectral parameters {pair[0]} and {pair[1]} are closer "
-                f"than {EPS_SEP:g} on route {route}"
-            )
-        if (pair := close_pair(params.mu, EPS_SEP)) is not None:
-            raise CoincidentInhomogeneity(
-                f"inhomogeneities {pair[0]} and {pair[1]} are closer than "
-                f"{EPS_SEP:g} on route {route}"
-            )
+    if spec.separated and (pair := close_pair(lams, EPS_SEP)) is not None:
+        raise CoincidentSpectral(
+            f"spectral parameters {pair[0]} and {pair[1]} are closer "
+            f"than {EPS_SEP:g} on route {route}"
+        )
     return lams

@@ -25,7 +25,7 @@ from .sampling import draw_complex, draw_model, draw_spectral, first_admissible
 
 class CheckRow(namedtuple("CheckRow",
                            "label residual threshold passed detail")):
-    """One residual measurement with its verdict and reproduction data."""
+    """One residual with its verdict; a failing row's reproduction text."""
 
     __slots__ = ()
 
@@ -116,9 +116,10 @@ def _generic_closed_form(params) -> bool:
 
 
 # Each check draws the k-th (0-based) parameter set of a suite run and
-# returns (label suffix, residual, reproduce detail).  It imports the route
-# module it evaluates in its body, so that a process running one suite
-# loads and compiles only the modules that suite needs.
+# returns (label suffix, residual, reproduce detail), the detail as a
+# callable that only a failing row calls.  It imports the route module it
+# evaluates in its body, so that a process running one suite loads and
+# compiles only the modules that suite needs.
 
 
 def _check_dybe(rng, k):
@@ -127,7 +128,7 @@ def _check_dybe(rng, k):
     params = _draw_params(rng, 1, pred=lambda p: _clear(p, -2, 2))
     l1, l2, l3 = draw_spectral(rng, 3)
     return ("", rmatrix.dybe_residual(l1, l2, l3, params.theta, params),
-            f"{_where(params)} l1={_c(l1)} l2={_c(l2)} l3={_c(l3)}")
+            lambda: f"{_where(params)} l1={_c(l1)} l2={_c(l2)} l3={_c(l3)}")
 
 
 def _check_ice(rng, k):
@@ -136,7 +137,7 @@ def _check_ice(rng, k):
     params = _draw_params(rng, 1, pred=lambda p: abs(s(p.theta)) > 1e-3)
     lam = draw_complex(rng)
     return ("", rmatrix.ice_residual(lam, params.theta, params),
-            f"{_where(params)} lam={_c(lam)}")
+            lambda: f"{_where(params)} lam={_c(lam)}")
 
 
 def _check_unitarity(rng, k):
@@ -149,7 +150,7 @@ def _check_unitarity(rng, k):
         lambda z: abs(s(g + z)) > 1e-3 and abs(s(g - z)) > 1e-3,
         "spectral draw")
     return ("", rmatrix.unitarity_residual(lam, params.theta, params),
-            f"{_where(params)} lam={_c(lam)}")
+            lambda: f"{_where(params)} lam={_c(lam)}")
 
 
 def _check_hexagon(rng, k):
@@ -163,7 +164,7 @@ def _check_hexagon(rng, k):
     u = draw_complex(rng)
     v = draw_complex(rng)
     return ("", face_model.hexagon_residual(u, v, ks, params),
-            f"{_where(params)} u={_c(u)} v={_c(v)} ks={ks}")
+            lambda: f"{_where(params)} u={_c(u)} v={_c(v)} ks={ks}")
 
 
 def _check_commut(rng, k):
@@ -180,7 +181,8 @@ def _check_commut(rng, k):
     resmap = yb_algebra.commutation_residuals(l1, l2, params.theta, params)
     worst = max(resmap, key=lambda key: resmap[key])
     return (f" L={L} {worst}", resmap[worst],
-            f"{_where(params)} mu={_cs(params.mu)} l1={_c(l1)} l2={_c(l2)}")
+            lambda: f"{_where(params)} mu={_cs(params.mu)} "
+                    f"l1={_c(l1)} l2={_c(l2)}")
 
 
 def _check_cbb(rng, k):
@@ -192,7 +194,7 @@ def _check_cbb(rng, k):
     lams = _draw_separated(rng, n + 1, 1e-2)
     return (f" n={n} L={L}",
             yb_algebra.cbb_residual(n, lams, params.theta, params),
-            _where_lams(params, lams))
+            lambda: _where_lams(params, lams))
 
 
 def _check_nilpotency(rng, k):
@@ -204,7 +206,7 @@ def _check_nilpotency(rng, k):
     )
     lams = draw_spectral(rng, L + 1)
     return (f" L={L}", yb_algebra.nilpotency_norm(params, lams),
-            _where_lams(params, lams))
+            lambda: _where_lams(params, lams))
 
 
 def _check_functional(rng, k):
@@ -214,7 +216,7 @@ def _check_functional(rng, k):
     params = _draw_params(rng, L, pred=_generic_closed_form)
     lams = _draw_separated(rng, L + 2, 1e-2)
     return (f" L={L}", closed_form.functional_equation_residual(params, lams),
-            _where_lams(params, lams))
+            lambda: _where_lams(params, lams))
 
 
 def _check_zeroes(rng, k):
@@ -230,7 +232,7 @@ def _check_zeroes(rng, k):
     pins = (params.mu[0], params.mu[0] - params.gamma)
     lams = pins + _draw_separated(rng, L - 2, 1e-2, avoid=pins)
     return (f" L={L}", closed_form.special_zero_residual(params, lams),
-            _where_lams(params, lams))
+            lambda: _where_lams(params, lams))
 
 
 def _check_symmetry(rng, k):
@@ -246,7 +248,7 @@ def _check_symmetry(rng, k):
     j = (i + 1 + rng.randrange(L - 1)) % L
     return (f" L={L} swap=({i},{j})",
             closed_form.swap_residual(params, lams, i, j),
-            _where_lams(params, lams))
+            lambda: _where_lams(params, lams))
 
 
 def _check_degree(rng, k):
@@ -257,7 +259,7 @@ def _check_degree(rng, k):
     which = rng.randrange(L)
     return (f" L={L} var={which}",
             closed_form.degree_residual(params, which),
-            f"{_where(params)} mu={_cs(params.mu)}")
+            lambda: f"{_where(params)} mu={_cs(params.mu)}")
 
 
 def _check_asymptotic(rng, k):
@@ -268,7 +270,7 @@ def _check_asymptotic(rng, k):
     expect = closed_form.asymptotic_leading_coefficient(params)
     got = closed_form.leading_coefficient_interpolated(params)
     return (f" L={L}", abs(got - expect) / abs(expect),
-            f"{_where(params)} mu={_cs(params.mu)}")
+            lambda: f"{_where(params)} mu={_cs(params.mu)}")
 
 
 def _check_ode(rng, k):
@@ -277,7 +279,7 @@ def _check_ode(rng, k):
     params = _draw_params(rng, 1, pred=lambda p: _clear(p, 0, 4))
     lam = draw_complex(rng)
     return ("", closed_form.ode_residual_L1(lam, params),
-            f"{_where(params)} mu={_cs(params.mu)} lam={_c(lam)}")
+            lambda: f"{_where(params)} mu={_cs(params.mu)} lam={_c(lam)}")
 
 
 def _spread_ok(params, lams) -> bool:
@@ -294,7 +296,7 @@ def _check_contour(rng, k):
     ref = contour.partition_residue(params, lams)
     quad = contour.partition_quadrature(params, lams)
     return (f" L={L}", abs(quad - ref) / max(abs(quad), abs(ref)),
-            _where_lams(params, lams))
+            lambda: _where_lams(params, lams))
 
 
 class Suite(namedtuple("Suite", "check threshold")):
@@ -336,8 +338,8 @@ def run_suite(name: str, seed: int, draws: int) -> SuiteReport:
     for k in range(draws):
         suffix, residual, detail = suite.check(rng, k)
         residual = float(residual)
+        passed = residual < suite.threshold
         rows.append(CheckRow(label=f"{k + 1:03d}{suffix}", residual=residual,
-                             threshold=suite.threshold,
-                             passed=residual < suite.threshold,
-                             detail=detail))
+                             threshold=suite.threshold, passed=passed,
+                             detail=None if passed else detail()))
     return SuiteReport(suite=name, seed=seed, draws=draws, rows=tuple(rows))

@@ -11,7 +11,6 @@ import pytest
 from sosdw import closed_form
 from sosdw.core import (
     BadLength,
-    CoincidentInhomogeneity,
     CoincidentSpectral,
     ModelParams,
     NumericalError,
@@ -180,14 +179,23 @@ class TestAnalyticStructure:
             lams = (params.mu[0], params.mu[0] - params.gamma) + free
             assert special_zero_residual(params, lams, route) < 1e-9
 
+    @pytest.mark.parametrize("route",
+                             ["permutation", "residue", "face", "algebra"])
+    def test_special_zero_at_coincident_inhomogeneities(self, route):
+        # no route divides by a gap between inhomogeneities, so mu_1 = mu_2
+        # is evaluated, and the pins still zero Z
+        g = 0.31 + 0.12j
+        mu = (0.13 - 0.21j,) * 2
+        params = ModelParams(gamma=g, theta=0.57 - 0.08j, mu=mu, L=2)
+        assert special_zero_residual(params, (mu[0], mu[0] - g), route) < 1e-9
+
     @pytest.mark.parametrize("mu, free, error", [
-        ((0.13 - 0.21j,) * 2, (), CoincidentInhomogeneity),
         ((0.13 - 0.21j, -0.42 + 0.05j, 0.37 + 0.18j), (0.13 - 0.21j,),
-         CoincidentSpectral)], ids=["mu", "free"])
+         CoincidentSpectral)], ids=["free"])
     def test_special_zero_coincident_inhomogeneities_fail_once(
             self, monkeypatch, mu, free, error):
-        # the pinned value is evaluated once, exactly at the pins, whether
-        # two inhomogeneities or a free value and the pin mu_1 coincide
+        # the pinned value is evaluated once, exactly at the pins, when a
+        # free value and the pin mu_1 coincide
         calls = []
         make = closed_form._evaluator
 

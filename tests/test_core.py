@@ -24,7 +24,6 @@ from sosdw.core import (
     EPS_SING,
     ROUTES,
     BadLength,
-    CoincidentInhomogeneity,
     CoincidentSpectral,
     DegenerateGamma,
     ModelParams,
@@ -302,10 +301,28 @@ class TestValidate:
     def test_coincident_spectral_ok_on_face(self):
         validate(self.make(), (0.4, 0.4), "face")
 
-    def test_coincident_inhomogeneity_on_residue(self):
-        p = self.make(mu=(0.13, 0.13 + EPS_SEP / 10))
-        with pytest.raises(CoincidentInhomogeneity):
-            validate(p, (0.4, 0.2), "residue")
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_coincident_inhomogeneities_admitted(self, route):
+        # no route divides by a gap between two inhomogeneities
+        p = self.make(mu=(0.13 - 0.21j,) * 2)
+        assert validate(p, (0.4, 0.2), route) == (0.4, 0.2)
+
+    @pytest.mark.parametrize("L", [2, 3, 5, 8])
+    def test_coincident_inhomogeneities_agree_with_algebra(self, rng, L):
+        # an equal pair at L = 2, 3 and an equal triple at L = 5, 8 leave the
+        # L! routes, and face within its cap, on the algebraic value
+        k = 2 if L < 5 else 3
+        routes = ("permutation", "residue") + (("face",) if L <= 5 else ())
+        for _ in range(4):
+            params, lams = draw_model(rng, L, routes=routes)
+            params = params._replace(mu=(params.mu[0],) * k + params.mu[k:])
+
+            def value(route):
+                return core.ROUTE_TABLE[route].evaluate(params, lams, None)[0]
+
+            ref = value("algebra")
+            for route in routes:
+                assert abs(value(route) - ref) <= 1e-9 * abs(ref), route
 
     def test_spectral_separation_is_sinh_based(self):
         # antiperiodicity: sinh separates points, not euclidean distance

@@ -5,6 +5,7 @@ from __future__ import annotations
 import cmath
 import re
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -95,6 +96,50 @@ def test_render_format():
     for line in lines[1:-1]:
         assert row_pat.match(line), line
     assert lines[-1] == "suite dybe: 4/4 passed -> PASS"
+
+
+def _fail_every_row(monkeypatch):
+    """Set every suite's threshold below any residual, so every row fails."""
+    for name, suite in SUITES.items():
+        monkeypatch.setitem(SUITES, name, suite._replace(threshold=-1.0))
+
+
+def test_failing_rows_render_as_before(monkeypatch):
+    """Every suite at seeds 0 and 7, 6 draws, with every row failing, so
+    every row prints its reproduce line; the file holds the output of the
+    checks as they were when each built its detail text eagerly."""
+    _fail_every_row(monkeypatch)
+    expected = (Path(__file__).parent / "data"
+                / "verify_fail_render.txt").read_text()
+    reports = [run_suite(name, seed, 6).render()
+               for seed in (0, 7) for name in SUITE_NAMES]
+    assert "\n\n".join(reports) + "\n" == expected
+
+
+def test_passing_row_has_no_detail():
+    rep = run_suite("dybe", seed=3, draws=4)
+    assert rep.passed
+    assert all(row.detail is None for row in rep.rows)
+
+
+def _count_formatting(monkeypatch):
+    """Count the calls of the two formatters every reproduce text uses."""
+    calls = []
+    for name in ("_c", "_cs"):
+        real = getattr(verify, name)
+        monkeypatch.setattr(verify, name,
+                            lambda z, real=real: calls.append(z) or real(z))
+    return calls
+
+
+@pytest.mark.parametrize("name", EXPECTED_SUITES)
+def test_passing_run_formats_nothing(name, monkeypatch):
+    calls = _count_formatting(monkeypatch)
+    assert run_suite(name, seed=0, draws=20).passed
+    assert not calls
+    _fail_every_row(monkeypatch)
+    rep = run_suite(name, seed=0, draws=1)
+    assert calls and rep.rows[0].detail.startswith("gamma=")
 
 
 def test_render_deterministic_for_same_seed():
