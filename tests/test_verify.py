@@ -106,20 +106,15 @@ def _fail_every_row(monkeypatch):
 
 def test_failing_rows_render_as_before(monkeypatch):
     """Every suite at seeds 0 and 7, 6 draws, with every row failing, so
-    every row prints its reproduce line; the file holds the output of the
-    checks as they were when each built its detail text eagerly."""
+    every row prints its reproduce line.  The file was written by checks
+    that formatted every row's detail, so a detail formatted only on failure
+    must reproduce it byte for byte."""
     _fail_every_row(monkeypatch)
     expected = (Path(__file__).parent / "data"
                 / "verify_fail_render.txt").read_text()
     reports = [run_suite(name, seed, 6).render()
                for seed in (0, 7) for name in SUITE_NAMES]
     assert "\n\n".join(reports) + "\n" == expected
-
-
-def test_passing_row_has_no_detail():
-    rep = run_suite("dybe", seed=3, draws=4)
-    assert rep.passed
-    assert all(row.detail is None for row in rep.rows)
 
 
 def _count_formatting(monkeypatch):
@@ -135,7 +130,8 @@ def _count_formatting(monkeypatch):
 @pytest.mark.parametrize("name", EXPECTED_SUITES)
 def test_passing_run_formats_nothing(name, monkeypatch):
     calls = _count_formatting(monkeypatch)
-    assert run_suite(name, seed=0, draws=20).passed
+    rep = run_suite(name, seed=0, draws=20)
+    assert rep.passed and all(row.detail is None for row in rep.rows)
     assert not calls
     _fail_every_row(monkeypatch)
     rep = run_suite(name, seed=0, draws=1)
