@@ -18,6 +18,7 @@ import math
 import operator
 from collections import namedtuple
 from collections.abc import Callable
+from itertools import chain, islice
 
 EPS_SING = 1e-8  # minimum |sinh| for any weight or coefficient denominator
 EPS_SEP = 1e-6   # minimum |sinh| separation between spectral parameters
@@ -95,17 +96,17 @@ def in_range(fn: Callable) -> Callable:
     return checked
 
 
-def pairwise_sum(values) -> complex:
-    """Sum a sequence in a fixed balanced-tree association order.
+class _Odd:
+    def __radd__(self, v):  # v + _ODD is v: the pad after an odd last value
+        return v
 
-    Each level adds neighbours, v0 + v1, v2 + v3, ..., in one map over one
-    iterator and carries an odd last value up.  The order is a function of
-    the sequence alone: repeated runs are bit-identical and roundoff grows
-    as O(log n).
-    """
-    vals = list(values)
-    if not vals:
-        return 0j
+
+_ODD = _Odd()
+_BLOCK = 1 << 12  # values per block; an aligned block is a complete subtree
+
+
+def _tree(vals: list) -> complex:
+    """Finish a balanced tree from one level, carrying an odd last value up."""
     while len(vals) > 1:
         pairs = iter(vals)
         merged = list(map(operator.add, pairs, pairs))
@@ -113,6 +114,20 @@ def pairwise_sum(values) -> complex:
             merged.append(vals[-1])
         vals = merged
     return vals[0]
+
+
+def pairwise_sum(values) -> complex:
+    """Sum a sequence in a fixed balanced-tree association order.
+
+    Each level adds neighbours, v0 + v1, v2 + v3, ..., and carries an odd
+    last value up; runs are bit-identical and roundoff grows as O(log n).
+    Without copying the input, one map over it (padded by ``_ODD``) gives
+    the first level in blocks of ``_BLOCK`` values, each a whole subtree.
+    """
+    it = chain(values, (_ODD,))
+    pairs = map(operator.add, it, it)
+    blocks = iter(lambda: list(islice(pairs, _BLOCK // 2)), [])
+    return _tree(list(map(_tree, blocks)) or [0j])
 
 
 def ordering_terms(site, pair) -> list:

@@ -7,6 +7,7 @@ import math
 import random
 import types
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -172,6 +173,18 @@ class TestComputeCommand:
         main(["compute", "--config", path, "--json", "--no-timings"])
         second = capsys.readouterr().out
         assert first == second
+
+    @pytest.mark.parametrize("job", ["readme", "crosscheck_L5_job_000",
+                                     "crosscheck_L8_job_000"])
+    def test_compute_json_matches_recorded_output(self, job, capsys):
+        # the README job and job 0 of the benchmark's L = 5 and L = 8 pools
+        # at seed 0: the recorded reports pin every route's bits, and a change
+        # that moves them on purpose records the files again
+        data = Path(__file__).parent / "data" / "compute"
+        code = main(["compute", "--config", str(data / f"{job}.json"),
+                     "--json", "--no-timings"])
+        assert capsys.readouterr().out == (data / f"{job}.out").read_text()
+        assert code == 0
 
     def test_compute_human_table(self, tmp_path, capsys):
         path = write_cfg(tmp_path, routes=["face", "permutation"])

@@ -12,6 +12,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -136,6 +137,16 @@ class TestOrderingTerms:
         assert handed == [math.factorial(L)]
 
 
+def traced_peak(fn, *args) -> int:
+    """Bytes that ``fn(*args)`` allocates at its peak, under tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestPairwiseSum:
     def test_empty_is_zero(self):
         assert pairwise_sum([]) == 0j
@@ -171,13 +182,51 @@ class TestPairwiseSum:
         big = (1e16, -1e16, 1.0, -1.0, 3.0)
         draw = lambda: complex(rng.choice(big), rng.choice(big))
         moved = 0
-        for n in [*range(71), 40320]:
+        for n in [*range(71), 4095, 4096, 4097, 8191, 8193, 12289, 40320]:
             vals = [draw() for _ in range(n)]
+            if n > 70:
+                # around multiples of the 4096-value block: random mantissas
+                # leave rounding bits in the block sums, so the order in
+                # which they and a short last block combine shows
+                vals = [v * rng.random() for v in vals]
             want = self.tree_sum(vals)
             assert pairwise_sum(vals) == want
+            assert repr(pairwise_sum(tuple(vals))) == repr(want)
+            assert repr(pairwise_sum(v for v in vals)) == repr(want)
             moved += want != sum(vals, 0j)
         # the values are ones on which association changes the sum
         assert moved > 20
+
+    def test_odd_last_value_passes_up_unchanged(self):
+        last = complex(-0.0, -0.0)
+        assert pairwise_sum([last]) is last
+        assert pairwise_sum(iter([1, 2, 3])) == 6
+        assert type(pairwise_sum([1, 2, 3])) is int
+
+    def test_list_argument_left_unchanged(self):
+        rng = random.Random(4191)
+        vals = [complex(rng.random(), rng.random()) for _ in range(9000)]
+        saved = list(vals)
+        pairwise_sum(vals)
+        assert vals == saved
+
+    def test_list_argument_not_copied(self):
+        # copying the input and keeping whole tree levels peaks at 1.2 MB
+        # here; one block's levels take about 0.15 MB
+        rng = random.Random(4192)
+        vals = [complex(rng.random(), rng.random()) for _ in range(40320)]
+        assert traced_peak(pairwise_sum, vals) < 0.3e6
+
+    @pytest.mark.parametrize("module, route", [
+        (closed_form, "partition_permutation_sum"),
+        (contour, "partition_residue"),
+    ])
+    def test_route_peak_at_L8(self, module, route):
+        # the 40320 terms themselves take about 1.75 MB; a sum that copied
+        # them and kept whole tree levels would add about 1 MB
+        params, lams = draw_model(random.Random(4208), 8,
+                                  routes=("permutation", "residue"))
+        assert traced_peak(getattr(module, route), params, lams) < 2.3e6
 
 
 class TestModelParams:
